@@ -124,6 +124,26 @@ func NewBuilder(view netlist.View, intern *Interner, depth int) *Builder {
 	return &Builder{view: view, intern: intern, depth: depth, memo: make(map[memoKey]KeyID)}
 }
 
+// Reset empties the builder's memo for the next analysis over the same
+// view, keeping its scratch buffers. The interner is not touched: reset it
+// separately when the keys of the previous analysis are no longer compared.
+func (b *Builder) Reset() { b.memo = resetMemo(b.memo) }
+
+// maxKeptMemo bounds the memo size that resetMemo clears in place. Clearing
+// a map costs time in proportion to its capacity, not its length, so a memo
+// grown by one large analysis is dropped rather than cleared before every
+// later, smaller one.
+const maxKeptMemo = 256
+
+// resetMemo returns an empty memo, reusing m when it is small.
+func resetMemo(m map[memoKey]KeyID) map[memoKey]KeyID {
+	if len(m) > maxKeptMemo {
+		return make(map[memoKey]KeyID)
+	}
+	clear(m)
+	return m
+}
+
 // Depth returns the configured cone depth.
 func (b *Builder) Depth() int { return b.depth }
 
@@ -214,19 +234,19 @@ func (b *Builder) subtreeKey(net netlist.NetID, depth, level int) KeyID {
 // net, and boundary (leaf) nets. The result is deduplicated and unordered.
 func (b *Builder) SubtreeNets(net netlist.NetID, depth int) map[netlist.NetID]bool {
 	out := make(map[netlist.NetID]bool)
-	b.collectNets(net, depth, out)
+	b.collectNets(net, depth, func(n netlist.NetID) { out[n] = true })
 	return out
 }
 
 // CollectSubtreeNets adds the subtree's nets (as SubtreeNets defines them)
 // to out, letting callers accumulate the union over many roots — e.g. the
-// fanin-closed scope of a whole subgroup — without a map per call.
-func (b *Builder) CollectSubtreeNets(net netlist.NetID, depth int, out map[netlist.NetID]bool) {
-	b.collectNets(net, depth, out)
+// fanin-closed scope of a whole subgroup — in one reusable dense set.
+func (b *Builder) CollectSubtreeNets(net netlist.NetID, depth int, out *netlist.NetMarks) {
+	b.collectNets(net, depth, func(n netlist.NetID) { out.Add(n) })
 }
 
-func (b *Builder) collectNets(net netlist.NetID, depth int, out map[netlist.NetID]bool) {
-	out[net] = true
+func (b *Builder) collectNets(net netlist.NetID, depth int, add func(netlist.NetID)) {
+	add(net)
 	if depth <= 0 {
 		return
 	}
@@ -238,6 +258,6 @@ func (b *Builder) collectNets(net netlist.NetID, depth int, out map[netlist.NetI
 		return
 	}
 	for _, in := range b.view.GateInputs(g, nil) {
-		b.collectNets(in, depth-1, out)
+		b.collectNets(in, depth-1, add)
 	}
 }

@@ -150,6 +150,30 @@ func (it *Interner) InternNode(kind logic.Kind, children []KeyID) KeyID {
 	return id
 }
 
+// Reset empties the interner back to the leaf key, keeping its storage, so
+// one interner can serve many independent analyses (KeyIDs of different
+// analyses are never compared). The cost is proportional to the keys
+// interned since the last reset, not to the table's capacity: each node's
+// slot is found by probing from its stored hash and cleared individually.
+func (it *Interner) Reset() {
+	mask := uint64(len(it.table) - 1)
+	for id := 1; id < len(it.nodes); id++ {
+		if it.nodes[id].tag != tagGate {
+			continue
+		}
+		idx := it.hashes[id] & mask
+		for it.table[idx] != int32(id)+1 {
+			idx = (idx + 1) & mask
+		}
+		it.table[idx] = 0
+	}
+	it.nodes = it.nodes[:1]
+	it.hashes = it.hashes[:1]
+	it.childIDs = it.childIDs[:0]
+	clear(it.atoms)
+	clear(it.strs)
+}
+
 // grow doubles the probe table and reinserts every gate node by its stored
 // hash.
 func (it *Interner) grow() {

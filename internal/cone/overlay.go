@@ -11,7 +11,7 @@ import "gatewords/internal/netlist"
 //
 // dist gives, for each net within reach of the modification, the minimum
 // number of driver (fanin) steps from that net down to a changed net
-// (reduce.Reduction.DirtyDistances computes it). The subtree (net, depth)
+// (reduce.Reduction.DirtyDistances and DirtyDistancesIn compute it). The subtree (net, depth)
 // renders identically under both views exactly when no changed net lies
 // within depth levels of its root — i.e. when dist[net] > depth — because a
 // changed net at distance d <= depth alters the expansion: at d < depth it
@@ -24,7 +24,7 @@ import "gatewords/internal/netlist"
 type Overlay struct {
 	base   *Builder
 	view   netlist.View
-	dist   map[netlist.NetID]int
+	dist   *netlist.NetMarks
 	memo   map[memoKey]KeyID
 	inbuf  []netlist.NetID
 	idbuf  []KeyID
@@ -33,16 +33,16 @@ type Overlay struct {
 
 // Overlay returns an incremental key builder over view. Reset repoints an
 // existing Overlay at the next trial's view without reallocating scratch.
-func (b *Builder) Overlay(view netlist.View, dist map[netlist.NetID]int) *Overlay {
+func (b *Builder) Overlay(view netlist.View, dist *netlist.NetMarks) *Overlay {
 	return &Overlay{base: b, view: view, dist: dist, memo: make(map[memoKey]KeyID)}
 }
 
 // Reset repoints the overlay at a new view/dist pair (the next assignment
-// trial), retaining scratch buffers and the memo map's capacity.
-func (o *Overlay) Reset(view netlist.View, dist map[netlist.NetID]int) {
+// trial), retaining scratch buffers and, unless it grew large, the memo.
+func (o *Overlay) Reset(view netlist.View, dist *netlist.NetMarks) {
 	o.view = view
 	o.dist = dist
-	clear(o.memo)
+	o.memo = resetMemo(o.memo)
 }
 
 // Bit analyzes the fanin cone of net under the overlay view, exactly as
@@ -85,7 +85,7 @@ func (o *Overlay) subtreeKey(net netlist.NetID, depth, level int) KeyID {
 	if depth <= 0 {
 		return LeafKey
 	}
-	if d, dirty := o.dist[net]; !dirty || d > depth {
+	if d, dirty := o.dist.Get(net); !dirty || d > depth {
 		return o.base.subtreeKey(net, depth, 0)
 	}
 	mk := memoKey{net: net, depth: int32(depth)}

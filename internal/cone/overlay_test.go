@@ -163,3 +163,37 @@ func TestOverlayReset(t *testing.T) {
 		}
 	}
 }
+
+// TestBuilderReset: a builder and interner reset between analyses — as each
+// pipeline worker does between adjacency groups — key every cone exactly as
+// a fresh pair does, including after an analysis large enough to grow the
+// interner's table and the memo past its kept size.
+func TestBuilderReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	nl, driven := randCircuit(rng, 6, 400)
+	it := NewInterner()
+	reused := NewBuilder(nl, it, DefaultDepth)
+	for round := 0; round < 6; round++ {
+		// Alternate the whole netlist with a handful of nets.
+		nets := driven
+		if round%2 == 1 {
+			nets = driven[rng.Intn(len(driven)-5):][:5]
+		}
+		it.Reset()
+		reused.Reset()
+		fresh := NewBuilder(nl, NewInterner(), DefaultDepth)
+		for _, n := range nets {
+			got, want := reused.Bit(n), fresh.Bit(n)
+			if (got == nil) != (want == nil) {
+				t.Fatalf("round %d net %s: nil mismatch", round, nl.NetName(n))
+			}
+			if got != nil && (got.FullKey != want.FullKey || it.String(got.FullKey) != fresh.Interner().String(want.FullKey)) {
+				t.Fatalf("round %d net %s: key %d %q, fresh %d %q", round, nl.NetName(n),
+					got.FullKey, it.String(got.FullKey), want.FullKey, fresh.Interner().String(want.FullKey))
+			}
+		}
+		if it.Len() != fresh.Interner().Len() {
+			t.Fatalf("round %d: %d keys after reset, fresh %d", round, it.Len(), fresh.Interner().Len())
+		}
+	}
+}

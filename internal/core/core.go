@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -156,9 +157,10 @@ type Stats struct {
 	Groups        int // first-level adjacency groups
 	Subgroups     int // partially/fully matched subgroups
 	CandidateBits int // bits with analyzable cones
-	// Trials counts assignment trials attempted, i.e. reduce.Apply
-	// invocations: every trial the enumeration budget admitted, feasible or
-	// not.
+	// Trials counts assignment trials attempted: every trial the
+	// enumeration budget admitted, feasible or not. It is not a count of
+	// reduce.Apply calls: each distinct assignment is propagated once per
+	// Identify, and a repeated one is served from the run's memo.
 	Trials int
 	// Reductions counts the trials whose propagation succeeded (no
 	// contradiction), i.e. the trials that actually produced a reduced
@@ -234,151 +236,195 @@ func Identify(nl *netlist.Netlist, opt Options) *Result {
 		groups = group.Adjacent(nl, group.Options{DFFInputsOnly: opt.DFFInputsOnly})
 	})
 
+	memo := newReductionMemo(nl)
 	workers := opt.Workers
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > 1 && len(groups) > 1 {
-		return identifyParallel(nl, opt, groups, workers)
+		return identifyParallel(nl, opt, memo, groups, workers)
 	}
 
-	outs := make([]groupOutcome, len(groups))
+	w := newWorker(nl, opt, memo)
+	m := newMerger(groups)
 	for gi := range groups {
-		outs[gi] = runGroup(nl, opt, gi, groups[gi])
-		if opt.FailFast && outs[gi].failure != nil {
+		out := w.runGroup(gi, groups[gi])
+		m.add(out)
+		if opt.FailFast && out.failure != nil {
 			break
 		}
 	}
-	return mergeOutcomes(len(groups), outs, opt.Observer)
+	opt.Observer.Merge(w.rec)
+	return m.result(len(groups))
 }
 
-func newPipeline(nl *netlist.Netlist, opt Options) *pipeline {
+// worker is one goroutine's reusable pipeline state. Its pipeline — key
+// interner, cone builder, overlay, dense scope sets, recorder — is reset
+// between groups rather than rebuilt, so the per-group fixed cost is a few
+// clears, not a round of allocations. Each group stays its own failure
+// domain: a group that panics discards the worker's pipeline, and the next
+// group starts from a fresh one.
+type worker struct {
+	nl   *netlist.Netlist
+	opt  Options
+	memo *reductionMemo
+	p    *pipeline // nil until the first group and after a failed one
+	// rec accumulates the observations of the worker's groups: a successful
+	// group's whole recorder, a failed group's recovery count only. nil
+	// without an Observer. Merging is a sum (gauges a max), so the run's
+	// totals do not depend on which worker ran which group.
+	rec *obs.Recorder
+}
+
+func newWorker(nl *netlist.Netlist, opt Options, memo *reductionMemo) *worker {
+	w := &worker{nl: nl, opt: opt, memo: memo}
+	if opt.Observer != nil {
+		w.rec = obs.New()
+	}
+	return w
+}
+
+func newPipeline(nl *netlist.Netlist, opt Options, memo *reductionMemo) *pipeline {
 	p := &pipeline{
-		nl:     nl,
-		opt:    opt,
-		rec:    opt.Observer,
-		it:     cone.NewInterner(),
-		used:   make(map[netlist.NetID]bool),
-		found:  make(map[netlist.NetID]bool),
-		result: &Result{},
-		stage:  "init",
+		nl:    nl,
+		opt:   opt,
+		memo:  memo,
+		it:    cone.NewInterner(),
+		scope: netlist.NewNetMarks(nl.NetCount()),
+		dist:  netlist.NewNetMarks(nl.NetCount()),
+		stage: "init",
+	}
+	if parent := opt.Observer; parent != nil {
+		p.rec = obs.New()
+		if parent.ProfileLabelsEnabled() {
+			p.rec.EnableProfileLabels()
+		}
 	}
 	p.b = cone.NewBuilder(nl, p.it, opt.Depth)
 	return p
 }
 
+// reset readies the pipeline for the next group, keeping its storage.
+func (p *pipeline) reset() {
+	p.stage = "init"
+	p.it.Reset()
+	p.b.Reset()
+	p.used = p.used[:0]
+	p.found = p.found[:0]
+	p.result = Result{}
+	p.rec.Reset()
+	p.groupTrials = 0
+}
+
 // groupOutcome is one adjacency group's contribution to the run: its partial
-// Result, its private observer recorder (nil without an Observer), and the
-// recovered failure if its pipeline panicked. A zero outcome (nil res) marks
-// a group that never ran because FailFast stopped the run first.
+// Result and the recovered failure if its pipeline panicked. A zero outcome
+// (ran false) marks a group that never ran because FailFast stopped the run
+// first.
 type groupOutcome struct {
-	res     *Result
-	rec     *obs.Recorder
+	ran     bool
+	res     Result
 	failure *guard.GroupFailure
 }
 
-// runGroup runs one adjacency group through a fresh pipeline inside the
-// group's failure domain. Each group gets a private interner/builder (hash
-// keys are only ever compared within a group) and a private recorder, and
-// runs under a recover boundary: a panic anywhere in the group's pipeline —
-// including construction — becomes a GroupFailure, the group's partial
-// result and observations are discarded wholesale (replaced by an empty
-// Result and a recorder holding only the recovery count), and the caller
-// merges the surviving groups as if the failed one had produced no words.
-func runGroup(nl *netlist.Netlist, opt Options, gi int, nets []netlist.NetID) (out groupOutcome) {
-	parent := opt.Observer
-	if parent != nil {
-		out.rec = obs.New()
-		if parent.ProfileLabelsEnabled() {
-			out.rec.EnableProfileLabels()
-		}
-		opt.Observer = out.rec
-	}
-	var p *pipeline
+// runGroup runs one adjacency group through the worker's pipeline inside the
+// group's failure domain. Hash keys are only ever compared within a group,
+// so the interner and builder start empty for each one. A panic anywhere in
+// the group's pipeline — including construction — becomes a GroupFailure:
+// the group's partial result and observations are discarded wholesale (the
+// worker's recorder gains only the recovery count), and the caller merges
+// the surviving groups as if the failed one had produced no words.
+func (w *worker) runGroup(gi int, nets []netlist.NetID) (out groupOutcome) {
 	defer func() {
 		if v := recover(); v != nil {
 			stage := "init"
-			if p != nil {
-				stage = p.stage
+			if w.p != nil {
+				stage = w.p.stage
 			}
-			out.failure = guard.NewGroupFailure(gi, stage, v)
-			out.res = &Result{}
-			if parent != nil {
-				out.rec = obs.New()
-				out.rec.Add(obs.CtrPanicsRecovered, 1)
-			}
+			out = groupOutcome{ran: true, failure: guard.NewGroupFailure(gi, stage, v)}
+			w.p = nil
+			w.rec.Add(obs.CtrPanicsRecovered, 1)
 		}
 	}()
-	p = newPipeline(nl, opt)
+	if w.p == nil {
+		w.p = newPipeline(w.nl, w.opt, w.memo)
+	} else {
+		w.p.reset()
+	}
+	p := w.p
 	p.group = gi
 	if !p.cancelled() {
 		p.processGroup(nets)
 	}
-	p.result.UsedControlSignals = sortedNets(p.used)
-	p.result.FoundControlSignals = sortedNets(p.found)
+	p.result.UsedControlSignals = sortedUnique(p.used)
+	p.result.FoundControlSignals = sortedUnique(p.found)
 	if len(p.result.Degradations) > 0 {
 		p.result.Stats.DegradedGroups = 1
 	}
-	out.res = p.result
-	return out
+	w.rec.Merge(p.rec)
+	return groupOutcome{ran: true, res: p.result}
 }
 
-// mergeOutcomes folds per-group outcomes into one Result, in group order, so
-// the output is identical between the sequential and parallel paths
-// regardless of worker scheduling. Failed groups contribute their failure
-// record and recovery counter; fail-fast-skipped groups (zero outcomes)
-// contribute nothing.
-func mergeOutcomes(nGroups int, outs []groupOutcome, parent *obs.Recorder) *Result {
-	merged := &Result{}
-	merged.Stats.Groups = nGroups
-	used := make(map[netlist.NetID]bool)
-	found := make(map[netlist.NetID]bool)
-	for _, out := range outs {
-		if out.failure != nil {
-			merged.Failures = append(merged.Failures, *out.failure)
-		}
-		if parent != nil && out.rec != nil {
-			parent.Merge(out.rec)
-		}
-		r := out.res
-		if r == nil {
-			continue
-		}
-		merged.Words = append(merged.Words, r.Words...)
-		merged.Trace = append(merged.Trace, r.Trace...)
-		merged.Stats.Subgroups += r.Stats.Subgroups
-		merged.Stats.CandidateBits += r.Stats.CandidateBits
-		merged.Stats.Trials += r.Stats.Trials
-		merged.Stats.Reductions += r.Stats.Reductions
-		merged.Stats.ReducedWords += r.Stats.ReducedWords
-		merged.Stats.PartialGroupWords += r.Stats.PartialGroupWords
-		merged.Stats.ConesProved += r.Stats.ConesProved
-		merged.Stats.ConesRefuted += r.Stats.ConesRefuted
-		merged.Stats.ConesUnknown += r.Stats.ConesUnknown
-		merged.Stats.Interrupted = merged.Stats.Interrupted || r.Stats.Interrupted
-		merged.Stats.DegradedGroups += r.Stats.DegradedGroups
-		merged.ReductionChecks = append(merged.ReductionChecks, r.ReductionChecks...)
-		merged.Degradations = append(merged.Degradations, r.Degradations...)
-		for _, n := range r.UsedControlSignals {
-			used[n] = true
-		}
-		for _, n := range r.FoundControlSignals {
-			found[n] = true
-		}
+// merger folds per-group outcomes into one Result. Callers add outcomes in
+// group order, so the output is identical between the sequential and
+// parallel paths regardless of worker scheduling. Failed groups contribute
+// their failure record; fail-fast-skipped groups contribute nothing.
+type merger struct {
+	res         Result
+	used, found []netlist.NetID
+}
+
+// newMerger sizes the merged word list once: every word holds at least one
+// grouped net, so the grouped-net count bounds the word count.
+func newMerger(groups [][]netlist.NetID) *merger {
+	bits := 0
+	for _, g := range groups {
+		bits += len(g)
 	}
-	merged.UsedControlSignals = sortedNets(used)
-	merged.FoundControlSignals = sortedNets(found)
-	return merged
+	return &merger{res: Result{Words: make([]Word, 0, bits)}}
+}
+
+func (m *merger) add(out groupOutcome) {
+	if out.failure != nil {
+		m.res.Failures = append(m.res.Failures, *out.failure)
+	}
+	if !out.ran {
+		return
+	}
+	r := &out.res
+	m.res.Words = append(m.res.Words, r.Words...)
+	m.res.Trace = append(m.res.Trace, r.Trace...)
+	m.res.Stats.Subgroups += r.Stats.Subgroups
+	m.res.Stats.CandidateBits += r.Stats.CandidateBits
+	m.res.Stats.Trials += r.Stats.Trials
+	m.res.Stats.Reductions += r.Stats.Reductions
+	m.res.Stats.ReducedWords += r.Stats.ReducedWords
+	m.res.Stats.PartialGroupWords += r.Stats.PartialGroupWords
+	m.res.Stats.ConesProved += r.Stats.ConesProved
+	m.res.Stats.ConesRefuted += r.Stats.ConesRefuted
+	m.res.Stats.ConesUnknown += r.Stats.ConesUnknown
+	m.res.Stats.Interrupted = m.res.Stats.Interrupted || r.Stats.Interrupted
+	m.res.Stats.DegradedGroups += r.Stats.DegradedGroups
+	m.res.ReductionChecks = append(m.res.ReductionChecks, r.ReductionChecks...)
+	m.res.Degradations = append(m.res.Degradations, r.Degradations...)
+	m.used = append(m.used, r.UsedControlSignals...)
+	m.found = append(m.found, r.FoundControlSignals...)
+}
+
+func (m *merger) result(nGroups int) *Result {
+	m.res.Stats.Groups = nGroups
+	m.res.UsedControlSignals = sortedUnique(m.used)
+	m.res.FoundControlSignals = sortedUnique(m.found)
+	return &m.res
 }
 
 // identifyParallel fans adjacency groups out over a worker pool. Each group
-// runs in its own failure domain (runGroup), and per-group outcomes merge in
-// group order so the output matches the sequential pipeline exactly
+// runs in its own failure domain (worker.runGroup), and per-group outcomes
+// merge in group order so the output matches the sequential pipeline exactly
 // regardless of worker scheduling. Under FailFast, workers stop picking up
 // new groups once any group fails; which in-flight groups complete depends
 // on scheduling, so a fail-fast parallel result is best-effort (the
 // non-fail-fast result is deterministic).
-func identifyParallel(nl *netlist.Netlist, opt Options, groups [][]netlist.NetID, workers int) *Result {
+func identifyParallel(nl *netlist.Netlist, opt Options, memo *reductionMemo, groups [][]netlist.NetID, workers int) *Result {
 	outs := make([]groupOutcome, len(groups))
 	var failed atomic.Bool
 	var wg sync.WaitGroup
@@ -391,7 +437,10 @@ func identifyParallel(nl *netlist.Netlist, opt Options, groups [][]netlist.NetID
 	// in the backstop: every index is deposited up front regardless of how
 	// many workers survive to drain it.
 	work := make(chan int, len(groups))
-	for w := 0; w < workers; w++ {
+	pool := make([]*worker, workers)
+	for i := range pool {
+		w := newWorker(nl, opt, memo)
+		pool[i] = w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -405,7 +454,7 @@ func identifyParallel(nl *netlist.Netlist, opt Options, groups [][]netlist.NetID
 				if opt.FailFast && failed.Load() {
 					continue
 				}
-				outs[gi] = runGroup(nl, opt, gi, groups[gi])
+				outs[gi] = w.runGroup(gi, groups[gi])
 				if outs[gi].failure != nil {
 					failed.Store(true)
 				}
@@ -417,23 +466,34 @@ func identifyParallel(nl *netlist.Netlist, opt Options, groups [][]netlist.NetID
 	}
 	close(work)
 	wg.Wait()
-	merged := mergeOutcomes(len(groups), outs, opt.Observer)
+	m := newMerger(groups)
+	for _, out := range outs {
+		m.add(out)
+	}
+	for _, w := range pool {
+		opt.Observer.Merge(w.rec)
+	}
+	merged := m.result(len(groups))
 	merged.Failures = append(merged.Failures, poolFailures...)
 	return merged
 }
 
 type pipeline struct {
-	nl     *netlist.Netlist
-	opt    Options
-	rec    *obs.Recorder // nil disables observation at ~zero cost
-	it     *cone.Interner
-	b      *cone.Builder
-	ov     *cone.Overlay // lazily created, reused across assignment trials
-	used   map[netlist.NetID]bool
-	found  map[netlist.NetID]bool
-	result *Result
-	// group is the adjacency-group index this pipeline is running (each
-	// pipeline instance runs exactly one group; see runGroup).
+	nl   *netlist.Netlist
+	opt  Options
+	memo *reductionMemo // shared by every group of the Identify call
+	rec  *obs.Recorder  // the current group's; nil disables observation at ~zero cost
+	it   *cone.Interner
+	b    *cone.Builder
+	ov   *cone.Overlay // lazily created, reused across assignment trials
+	// scope is the current subgroup's fanin-closed cone scope and dist the
+	// current trial's dirty distances within it (see subgroupScope).
+	scope, dist *netlist.NetMarks
+	// used and found collect the group's control signals, with repeats;
+	// runGroup sorts and deduplicates them into the Result.
+	used, found []netlist.NetID
+	result      Result
+	// group is the adjacency-group index this pipeline is running.
 	group int
 	// stage tracks the last entered pipeline stage ("init" before the
 	// first); runGroup's recover boundary reads it to attribute a panic.
@@ -555,10 +615,10 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 	// Fanin-closed scope of the subgroup's cones, computed once: per trial,
 	// the dirty walk and re-keying stay inside it no matter how far the
 	// reduction propagated. It is also the cone-size budget's measure.
-	scope := p.subgroupScope(bits)
-	if b.MaxConeGates > 0 && len(scope) > b.MaxConeGates {
+	p.subgroupScope(bits)
+	if b.MaxConeGates > 0 && p.scope.Len() > b.MaxConeGates {
 		p.degrade(bits, guard.ReasonConeGates,
-			fmt.Sprintf("cone scope %d nets > budget %d", len(scope), b.MaxConeGates))
+			fmt.Sprintf("cone scope %d nets > budget %d", p.scope.Len(), b.MaxConeGates))
 		return
 	}
 
@@ -572,7 +632,7 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 		signals = signals[:p.opt.MaxControlSignals]
 	}
 	for _, s := range signals {
-		p.found[s.Net] = true
+		p.found = append(p.found, s.Net)
 	}
 	p.tracef("subgroup %s: %d dissimilar subtrees, %d control signals",
 		p.nl.NetName(bits[0].Net), totalDissim, len(signals))
@@ -601,7 +661,7 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 			p.groupTrials++
 			p.result.Stats.Trials++
 			p.rec.Add(obs.CtrTrials, 1)
-			tr := p.tryAssignment(bits, scope, assign)
+			tr := p.tryAssignment(bits, assign)
 			if tr == nil {
 				p.tracef("subgroup %s: trial %s infeasible", p.nl.NetName(bits[0].Net), p.formatAssign(assign))
 				return true
@@ -634,9 +694,7 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 	if bestTrial != nil && bestTrial.maxClass == len(bits) {
 		// The assignment made every bit fully similar: one verified word.
 		ctrls := assignNets(bestTrial.assign)
-		for _, c := range ctrls {
-			p.used[c] = true
-		}
+		p.used = append(p.used, ctrls...)
 		p.result.Stats.ReducedWords++
 		p.tracef("subgroup %s: verified %d-bit word via assignment %s",
 			p.nl.NetName(bits[0].Net), len(bits), p.formatAssign(bestTrial.assign))
@@ -667,9 +725,7 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 		classes = bestTrial.classes
 		ctrls = assignNets(bestTrial.assign)
 		assign = bestTrial.assign
-		for _, c := range ctrls {
-			p.used[c] = true
-		}
+		p.used = append(p.used, ctrls...)
 		p.result.Stats.ReducedWords++
 		if p.opt.VerifyReduction {
 			// Verify only the bits that ride the reduction into a word:
@@ -792,44 +848,46 @@ func (p *pipeline) verifyTrial(bits []*cone.BitCone, tr *trialResult) {
 	}
 }
 
-// subgroupScope returns the union of the bits' fanin-cone nets: each bit,
-// its subtree roots, and every net within cone depth below them. The set is
-// fanin-closed over the keyed subtrees, which is the soundness condition for
-// reduce.DirtyDistancesIn.
-func (p *pipeline) subgroupScope(bits []*cone.BitCone) map[netlist.NetID]bool {
-	scope := make(map[netlist.NetID]bool)
+// subgroupScope sets p.scope to the union of the bits' fanin-cone nets:
+// each bit, its subtree roots, and every net within cone depth below them.
+// The set is fanin-closed over the keyed subtrees, which is the soundness
+// condition for reduce.DirtyDistancesIn.
+func (p *pipeline) subgroupScope(bits []*cone.BitCone) {
+	p.scope.Clear()
 	for _, bc := range bits {
-		scope[bc.Net] = true
+		p.scope.Add(bc.Net)
 		for _, st := range bc.Subtrees {
-			p.b.CollectSubtreeNets(st.Root, p.opt.Depth-1, scope)
+			p.b.CollectSubtreeNets(st.Root, p.opt.Depth-1, p.scope)
 		}
 	}
-	return scope
 }
 
-// tryAssignment propagates one assignment and regroups the subgroup's bits
-// by full similarity on the reduced circuit. It returns nil for infeasible
-// (contradictory) assignments or ones that constant-fold a bit away.
+// tryAssignment reduces the circuit under one assignment and regroups the
+// subgroup's bits by full similarity on the reduced circuit. It returns nil
+// for infeasible (contradictory) assignments or ones that constant-fold a
+// bit away. The reduction comes from the run's memo: an assignment another
+// trial already propagated, in this group or any other, is not propagated
+// again.
 //
 // Re-matching is incremental: instead of re-deriving every key under a
 // fresh Builder per trial, a cone.Overlay reuses the subgroup builder's
 // memoized keys for all subtrees out of the reduction's reach and re-keys
 // only nets within Depth fanin levels of a changed net. The dirty walk is
-// confined to the subgroup's cone scope, so trial cost is bounded by the
-// subgroup's cones, not by the size of the reduced region.
-func (p *pipeline) tryAssignment(bits []*cone.BitCone, scope map[netlist.NetID]bool, assign map[netlist.NetID]logic.Value) *trialResult {
-	red, err := reduce.ApplyObserved(p.nl, assign, p.rec)
+// confined to the subgroup's cone scope (p.scope), so trial cost is bounded
+// by the subgroup's cones, not by the size of the reduced region.
+func (p *pipeline) tryAssignment(bits []*cone.BitCone, assign map[netlist.NetID]logic.Value) *trialResult {
+	red, err := p.memo.apply(assign, p.rec, p.group)
 	if err != nil {
 		p.tracef("reduce conflict: %v", err)
 		return nil
 	}
 	p.result.Stats.Reductions++
 	p.rec.Add(obs.CtrReductions, 1)
-	dist := red.DirtyDistancesIn(scope, p.opt.Depth-1)
+	red.DirtyDistancesIn(p.scope, p.opt.Depth-1, p.dist)
 	if p.ov == nil {
-		p.ov = p.b.Overlay(red, dist)
+		p.ov = p.b.Overlay(red, p.dist)
 	} else {
-		p.ov.Reset(red, dist)
+		p.ov.Reset(red, p.dist)
 	}
 	newBits := make([]*cone.BitCone, len(bits))
 	for i, bc := range bits {
@@ -972,11 +1030,10 @@ func assignNets(assign map[netlist.NetID]logic.Value) []netlist.NetID {
 	return out
 }
 
-func sortedNets(m map[netlist.NetID]bool) []netlist.NetID {
-	out := make([]netlist.NetID, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// sortedUnique returns the distinct nets of ids in ascending order, as a
+// new non-nil slice.
+func sortedUnique(ids []netlist.NetID) []netlist.NetID {
+	out := append([]netlist.NetID{}, ids...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

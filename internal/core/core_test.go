@@ -283,8 +283,8 @@ func TestOptionsDepthClamp(t *testing.T) {
 }
 
 // TestStatsTrialsVsReductions pins the accounting contract: Trials counts
-// every reduce.Apply invocation the enumeration admitted; Reductions counts
-// only the feasible ones. The trace records each, so the counters must agree
+// every assignment trial the enumeration admitted; Reductions counts only
+// the feasible ones. The trace records each, so the counters must agree
 // with the trace line-for-line.
 func TestStatsTrialsVsReductions(t *testing.T) {
 	nl, _, _, _ := wordNet(t, 4, true)
@@ -329,22 +329,22 @@ func TestTryAssignmentAccounting(t *testing.T) {
 	if err := nl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p := newPipeline(nl, Options{}.withDefaults())
+	p := newPipeline(nl, Options{}.withDefaults(), newReductionMemo(nl))
 	bits := []*cone.BitCone{p.b.Bit(bit)}
 	if bits[0] == nil {
 		t.Fatal("no cone for bit")
 	}
-	scope := p.subgroupScope(bits)
+	p.subgroupScope(bits)
 
 	// k=0 forces z=1; also asserting z=0 is a contradiction.
-	if tr := p.tryAssignment(bits, scope, map[netlist.NetID]logic.Value{k: logic.Zero, z: logic.Zero}); tr != nil {
+	if tr := p.tryAssignment(bits, map[netlist.NetID]logic.Value{k: logic.Zero, z: logic.Zero}); tr != nil {
 		t.Fatal("contradictory assignment accepted")
 	}
 	if p.result.Stats.Reductions != 0 {
 		t.Errorf("infeasible trial counted as reduction: %+v", p.result.Stats)
 	}
 
-	tr := p.tryAssignment(bits, scope, map[netlist.NetID]logic.Value{k: logic.Zero})
+	tr := p.tryAssignment(bits, map[netlist.NetID]logic.Value{k: logic.Zero})
 	if tr == nil {
 		t.Fatal("feasible assignment rejected")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -43,17 +44,77 @@ func bigNet(t *testing.T) *netlist.Netlist {
 	return nl
 }
 
+// sharedNet repeats wordNet's word in several copies that all hang off one
+// control net k, each copy its own adjacency group: every group tries the
+// assignment k=0, the shape on which the run's reduction memo serves
+// repeats across groups.
+func sharedNet(t *testing.T) *netlist.Netlist {
+	t.Helper()
+	nl := netlist.New("shared")
+	pi := func(n string) netlist.NetID {
+		id := nl.MustNet(n)
+		nl.MarkPI(id)
+		return id
+	}
+	p, q := pi("p"), pi("q")
+	k := nl.MustNet("k")
+	nl.MustGate("gk", logic.Nand, k, p, q)
+	for c := 0; c < 4; c++ {
+		pfx := fmt.Sprintf("c%d_", c)
+		s1, s2 := pi(pfx+"s1"), pi(pfx+"s2")
+		var bits [][3]netlist.NetID
+		for i := 0; i < 4; i++ {
+			sfx := fmt.Sprintf("%s%d", pfx, i)
+			x, y, z := nl.MustNet("x"+sfx), nl.MustNet("y"+sfx), nl.MustNet("z"+sfx)
+			nl.MustGate("gx"+sfx, logic.Nand, x, pi("a"+sfx), s1)
+			nl.MustGate("gy"+sfx, logic.Nand, y, pi("b"+sfx), s2)
+			if i == 0 {
+				nl.MustGate("gz"+sfx, logic.Nand, z, pi("c"+sfx), k)
+			} else {
+				inner := nl.MustNet("zi" + sfx)
+				nl.MustGate("gzi"+sfx, logic.Nand, inner, pi("c"+sfx), pi("m"+sfx))
+				nl.MustGate("gz"+sfx, logic.Nand, z, inner, k)
+			}
+			bits = append(bits, [3]netlist.NetID{x, y, z})
+		}
+		for i, b := range bits {
+			sfx := fmt.Sprintf("%s%d", pfx, i)
+			nl.MustGate("gb"+sfx, logic.Nand, nl.MustNet("bit"+sfx), b[0], b[1], b[2])
+		}
+	}
+	if err := nl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return nl
+}
+
 func pickKind(i int) logic.Kind {
 	kinds := []logic.Kind{logic.Nand, logic.Nor, logic.And, logic.Or}
 	return kinds[i%len(kinds)]
 }
 
+// TestParallelMatchesSequential requires identical results, stats and
+// merged observations at every worker count — on sharedNet too, where the
+// groups share assignments, so the memo's single-flight must keep
+// reduce_gate_visits and reduce_memo_hits equal to the sequential run's.
 func TestParallelMatchesSequential(t *testing.T) {
-	nl := bigNet(t)
+	for _, tc := range []struct {
+		name     string
+		nl       *netlist.Netlist
+		wantHits bool
+	}{{"independent", bigNet(t), false}, {"shared-control", sharedNet(t), true}} {
+		t.Run(tc.name, func(t *testing.T) { checkParallelMatchesSequential(t, tc.nl, tc.wantHits) })
+	}
+}
+
+func checkParallelMatchesSequential(t *testing.T, nl *netlist.Netlist, wantHits bool) {
 	seqRec := obs.New()
 	seq := Identify(nl, Options{Observer: seqRec})
 	if seq.Stats.Interrupted {
 		t.Fatal("sequential run without a context marked interrupted")
+	}
+	if hits := seqRec.Count(obs.CtrReduceMemoHits); (hits > 0) != wantHits {
+		t.Fatalf("reduce_memo_hits = %d, want hits: %v", hits, wantHits)
 	}
 	for _, workers := range []int{2, 4, 8, -1} {
 		parRec := obs.New()

@@ -72,21 +72,31 @@ type Counter uint8
 
 // The work counters. NumCounters bounds the enum.
 const (
-	// CtrTrials counts assignment trials attempted (reduce.Apply calls).
+	// CtrTrials counts assignment trials attempted. A trial is not a
+	// reduce.Apply call: core propagates each distinct assignment once per
+	// Identify and serves repeats from its memo (CtrReduceMemoHits).
 	CtrTrials Counter = iota
 	// CtrReductions counts feasible trials (propagation without conflict).
 	CtrReductions
-	// CtrReduceGateVisits counts gate evaluations during constant propagation.
+	// CtrReduceGateVisits counts gate evaluations during constant
+	// propagation. In core.Identify it counts each distinct assignment's
+	// propagation once: trials served from the memo add nothing.
 	CtrReduceGateVisits
+	// CtrReduceMemoHits counts trials whose reduction (or conflict) was
+	// served from core's per-Identify memo instead of propagated again.
+	CtrReduceMemoHits
 	// CtrEqChecks counts equivalence/satisfiability queries issued.
 	CtrEqChecks
 	// CtrSimRounds counts 64-pattern random-simulation rounds in eqcheck.
 	CtrSimRounds
-	// CtrSATDecisions counts DPLL decisions.
+	// CtrSATDecisions counts SAT solver branching decisions. The SAT
+	// counters cover the CDCL engine and, under eqcheck's NoLearn option,
+	// the legacy DPLL engine.
 	CtrSATDecisions
-	// CtrSATPropagations counts DPLL unit propagations.
+	// CtrSATPropagations counts SAT solver unit propagations.
 	CtrSATPropagations
-	// CtrSATConflicts counts DPLL conflicts (the SAT budget's currency).
+	// CtrSATConflicts counts SAT solver conflicts (the SAT budget's
+	// currency).
 	CtrSATConflicts
 	// CtrSATRetries counts eqcheck retry-ladder escalations: SAT stages rerun
 	// with a doubled conflict budget after an Unknown verdict.
@@ -136,7 +146,7 @@ const (
 )
 
 var counterNames = [NumCounters]string{
-	"trials", "reductions", "reduce_gate_visits", "eq_checks",
+	"trials", "reductions", "reduce_gate_visits", "reduce_memo_hits", "eq_checks",
 	"sim_rounds", "sat_decisions", "sat_propagations", "sat_conflicts",
 	"sat_retries", "panics_recovered", "degraded_subgroups",
 	"scoap_iterations", "scoap_widened_sccs", "triage_suspects",
@@ -267,6 +277,14 @@ func (r *Recorder) Max(g Gauge, v int64) {
 		return
 	}
 	r.gauges[g] = v
+}
+
+// Reset empties the recorder for reuse, keeping its profile-label setting.
+func (r *Recorder) Reset() {
+	if r == nil {
+		return
+	}
+	*r = Recorder{labels: r.labels}
 }
 
 // Clone returns an independent copy of the recorder's current state — the

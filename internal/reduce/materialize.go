@@ -35,7 +35,7 @@ func Materialize(r *Reduction) (*Materialized, error) {
 	// Nets first, preserving ID order so gate emission can look them up.
 	for ni := 0; ni < src.NetCount(); ni++ {
 		id := netlist.NetID(ni)
-		if r.vals[id].Known() {
+		if r.isKnown(id) {
 			continue
 		}
 		n := src.Net(id)
@@ -70,11 +70,11 @@ func Materialize(r *Reduction) (*Materialized, error) {
 	for gi := 0; gi < src.GateCount(); gi++ {
 		id := netlist.GateID(gi)
 		g := src.Gate(id)
-		if g.Kind != logic.DFF && r.vals[g.Output].Known() {
+		if g.Kind != logic.DFF && r.isKnown(g.Output) {
 			continue // dead gate
 		}
 		kind, pins, constOut, err := TrySimplifyGate(g.Kind, g.Inputs, func(n netlist.NetID) logic.Value {
-			return r.vals[n]
+			return r.Value(n)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("reduce: materializing gate %q: %w", g.Name, err)
@@ -84,7 +84,7 @@ func Materialize(r *Reduction) (*Materialized, error) {
 		}
 		newPins := make([]netlist.NetID, len(pins))
 		for i, p := range pins {
-			if v := r.vals[p]; v.Known() {
+			if v := r.Value(p); v.Known() {
 				newPins[i] = tie(v)
 				continue
 			}

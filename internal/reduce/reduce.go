@@ -13,6 +13,8 @@ package reduce
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"gatewords/internal/logic"
@@ -22,16 +24,31 @@ import (
 
 // Reduction is the result of propagating an assignment through a netlist.
 // It implements netlist.View over the simplified circuit.
+//
+// A Reduction is immutable once Apply returns: the rewritten kind and live
+// pins of every affected gate are computed inside Apply, never on read, so
+// one Reduction can be shared by concurrent readers (the identification
+// pipeline memoizes reductions across adjacency groups and workers).
 type Reduction struct {
-	nl       *netlist.Netlist
-	vals     map[netlist.NetID]logic.Value // per-net inferred constant (absent = live)
+	nl *netlist.Netlist
+	// known and one are bitsets over dense net IDs: bit n of known is set
+	// when net n has an inferred constant, and bit n of one then holds it.
+	known, one []uint64
+	// The rewrites: the effective kind and live pins of every gate that has
+	// a constant input and a live output, as parallel arrays sorted by gate
+	// ID (pins of rwGates[i] are rwPins[rwOff[i]:rwOff[i+1]]). Every other
+	// gate reads through to the netlist. Gates with a constant output are
+	// removed from the reduced circuit (DriverOf never returns them), so they
+	// need no entry.
+	rwGates []netlist.GateID
+	rwKinds []logic.Kind
+	rwOff   []int32
+	rwPins  []netlist.NetID
+
 	conflict bool
 	// ConflictGate names the gate where a contradiction surfaced, for
 	// diagnostics; empty when the assignment is feasible.
 	ConflictGate string
-
-	effKind map[netlist.GateID]logic.Kind
-	effIns  map[netlist.GateID][]netlist.NetID
 
 	// malformed records the first lenient-netlist gate the propagation could
 	// not evaluate (invalid arity for its kind); it preempts the generic
@@ -61,24 +78,19 @@ func Apply(nl *netlist.Netlist, assign map[netlist.NetID]logic.Value) (*Reductio
 // count and peak worklist depth report into rec (see internal/obs). A nil
 // rec records nothing and costs two local integer updates per visit.
 func ApplyObserved(nl *netlist.Netlist, assign map[netlist.NetID]logic.Value, rec *obs.Recorder) (*Reduction, error) {
+	words := (nl.NetCount() + 63) / 64
 	r := &Reduction{
-		nl:      nl,
-		vals:    make(map[netlist.NetID]logic.Value, 2*len(assign)+16),
-		effKind: make(map[netlist.GateID]logic.Kind),
-		effIns:  make(map[netlist.GateID][]netlist.NetID),
+		nl:    nl,
+		known: make([]uint64, words),
+		one:   make([]uint64, words),
 	}
 	queue := make([]netlist.NetID, 0, len(assign))
 	for n, v := range assign {
 		if !v.Known() {
 			return nil, fmt.Errorf("reduce: assignment of X to net %q", nl.NetName(n))
 		}
-		if r.vals[n].Known() && r.vals[n] != v {
-			return nil, ErrConflict
-		}
-		if !r.vals[n].Known() {
-			r.vals[n] = v
-			queue = append(queue, n)
-		}
+		r.set(n, v)
+		queue = append(queue, n)
 	}
 	// The fixpoint is confluent, but the peak-queue-depth gauge reported
 	// below is not: canonicalize the map-ordered seeds so observability
@@ -118,7 +130,59 @@ func ApplyObserved(nl *netlist.Netlist, assign map[netlist.NetID]logic.Value, re
 	}
 	rec.Add(obs.CtrReduceGateVisits, visits)
 	rec.Max(obs.GaugeReduceQueue, maxQueue)
+	r.finish()
 	return r, nil
+}
+
+// finish freezes a feasible reduction: it computes the rewrite of every
+// live gate reading a constant.
+func (r *Reduction) finish() {
+	r.eachKnown(func(n netlist.NetID) {
+		for _, g := range r.nl.Net(n).Fanout {
+			gate := r.nl.Gate(g)
+			if gate.Kind != logic.DFF && !r.isKnown(gate.Output) {
+				r.rwGates = append(r.rwGates, g)
+			}
+		}
+	})
+	slices.Sort(r.rwGates)
+	r.rwGates = slices.Compact(r.rwGates)
+	r.rwKinds = make([]logic.Kind, 0, len(r.rwGates))
+	r.rwOff = make([]int32, 1, len(r.rwGates)+1)
+	kept := r.rwGates[:0]
+	for _, g := range r.rwGates {
+		gate := r.nl.Gate(g)
+		kind, ins, _, err := TrySimplifyGate(gate.Kind, gate.Inputs, r.Value)
+		if err != nil {
+			// View methods cannot fail; a malformed gate (lenient netlist)
+			// reads through unrewritten.
+			continue
+		}
+		kept = append(kept, g)
+		r.rwKinds = append(r.rwKinds, kind)
+		r.rwPins = append(r.rwPins, ins...)
+		r.rwOff = append(r.rwOff, int32(len(r.rwPins)))
+	}
+	r.rwGates = slices.Clip(kept)
+}
+
+// eachKnown calls fn for every net with an inferred constant, in ascending
+// ID order.
+func (r *Reduction) eachKnown(fn func(netlist.NetID)) {
+	for w, word := range r.known {
+		for word != 0 {
+			fn(netlist.NetID(w*64 + bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+}
+
+// rewriteOf returns the index of g's rewrite, or -1 when g reads through.
+func (r *Reduction) rewriteOf(g netlist.GateID) int {
+	if i, ok := slices.BinarySearch(r.rwGates, g); ok {
+		return i
+	}
+	return -1
 }
 
 // propagationError renders the reason propagation aborted: the malformed
@@ -128,6 +192,20 @@ func (r *Reduction) propagationError() error {
 		return r.malformed
 	}
 	return fmt.Errorf("%w (at gate %q)", ErrConflict, r.ConflictGate)
+}
+
+// isKnown reports whether net n has an inferred constant.
+func (r *Reduction) isKnown(n netlist.NetID) bool {
+	return r.known[n>>6]&(1<<(uint(n)&63)) != 0
+}
+
+// set records the constant v (0 or 1) for net n.
+func (r *Reduction) set(n netlist.NetID, v logic.Value) {
+	bit := uint64(1) << (uint(n) & 63)
+	r.known[n>>6] |= bit
+	if v == logic.One {
+		r.one[n>>6] |= bit
+	}
 }
 
 // visitGate re-evaluates one gate against current knowledge, performing both
@@ -140,7 +218,7 @@ func (r *Reduction) visitGate(g netlist.GateID, queue []netlist.NetID, inbuf *[]
 	}
 	in := (*inbuf)[:0]
 	for _, id := range gate.Inputs {
-		in = append(in, r.vals[id])
+		in = append(in, r.Value(id))
 	}
 	*inbuf = in
 
@@ -155,7 +233,7 @@ func (r *Reduction) visitGate(g netlist.GateID, queue []netlist.NetID, inbuf *[]
 		r.malformed = fmt.Errorf("%w %q: %v", ErrMalformedGate, gate.Name, evalErr)
 		return queue
 	}
-	cur := r.vals[gate.Output]
+	cur := r.Value(gate.Output)
 	if out.Known() {
 		if cur.Known() && cur != out {
 			r.conflict = true
@@ -163,7 +241,7 @@ func (r *Reduction) visitGate(g netlist.GateID, queue []netlist.NetID, inbuf *[]
 			return queue
 		}
 		if !cur.Known() {
-			r.vals[gate.Output] = out
+			r.set(gate.Output, out)
 			queue = append(queue, gate.Output)
 			cur = out
 		}
@@ -179,8 +257,8 @@ func (r *Reduction) visitGate(g netlist.GateID, queue []netlist.NetID, inbuf *[]
 		}
 		if newly > 0 {
 			for i, id := range gate.Inputs {
-				if in[i].Known() && !r.vals[id].Known() {
-					r.vals[id] = in[i]
+				if in[i].Known() && !r.isKnown(id) {
+					r.set(id, in[i])
 					queue = append(queue, id)
 				}
 			}
@@ -190,99 +268,95 @@ func (r *Reduction) visitGate(g netlist.GateID, queue []netlist.NetID, inbuf *[]
 }
 
 // Value returns the inferred constant for a net (X if the net is live).
-func (r *Reduction) Value(n netlist.NetID) logic.Value { return r.vals[n] }
+func (r *Reduction) Value(n netlist.NetID) logic.Value {
+	bit := uint64(1) << (uint(n) & 63)
+	switch {
+	case r.known[n>>6]&bit == 0:
+		return logic.X
+	case r.one[n>>6]&bit != 0:
+		return logic.One
+	default:
+		return logic.Zero
+	}
+}
+
+// Bytes estimates the memory the reduction retains, for callers that cache
+// reductions under a memory bound.
+func (r *Reduction) Bytes() int {
+	return 8*(len(r.known)+len(r.one)) + 4*len(r.rwGates) + len(r.rwKinds) + 4*len(r.rwOff) + 4*len(r.rwPins)
+}
 
 // DirtyDistances returns, for every net lying within maxDist fanin levels
 // of a net the reduction changed, the minimum number of driver (fanin)
 // steps from that net down to a changed net; changed nets themselves map to
 // 0. A structural subtree (net, depth) renders identically on the original
 // and reduced circuits exactly when no changed net is within depth levels
-// of its root, so cone.Overlay uses this map to decide which subtree keys
-// can be reused from the unreduced builder's memo.
+// of its root, so cone.Overlay uses these distances to decide which subtree
+// keys can be reused from the unreduced builder's memo.
 //
 // The walk is a level-order BFS downstream over fanout edges, bounded to
 // maxDist levels; it stops at sequential cells, whose outputs are structural
 // leaves regardless of their inputs (and whose values the propagation never
 // crosses either).
-func (r *Reduction) DirtyDistances(maxDist int) map[netlist.NetID]int {
-	dist := make(map[netlist.NetID]int, 2*len(r.vals))
-	frontier := make([]netlist.NetID, 0, len(r.vals))
-	//anlz:ignore mapdet level-order BFS: dist assigns each net its level, so the returned map is order-independent
-	for n := range r.vals {
-		dist[n] = 0
-		frontier = append(frontier, n)
-	}
-	var next []netlist.NetID
-	for d := 1; d <= maxDist && len(frontier) > 0; d++ {
-		next = next[:0]
-		for _, n := range frontier {
-			for _, g := range r.nl.Net(n).Fanout {
-				gate := r.nl.Gate(g)
-				if !gate.Kind.IsCombinational() {
-					continue
-				}
-				if _, seen := dist[gate.Output]; seen {
-					continue
-				}
-				dist[gate.Output] = d
-				next = append(next, gate.Output)
-			}
-		}
-		frontier, next = next, frontier
-	}
+func (r *Reduction) DirtyDistances(maxDist int) *netlist.NetMarks {
+	dist := netlist.NewNetMarks(r.nl.NetCount())
+	r.eachKnown(func(n netlist.NetID) { dist.Set(n, 0) })
+	r.dirtyWalk(nil, maxDist, dist)
 	return dist
 }
 
 // DirtyDistancesIn is DirtyDistances restricted to a scope (typically the
-// union of a subgroup's fanin-cone nets): seeds are the changed nets inside
-// scope, and the walk never leaves it. Cost is O(|scope|) regardless of how
-// far the reduction propagated — the property that makes per-trial
-// incremental re-keying cheaper than re-deriving a subgroup's keys from
-// scratch even when an assignment constant-folds a large region.
+// union of a subgroup's fanin-cone nets), written into dist, which is
+// cleared first: seeds are the changed nets inside scope, and the walk never
+// leaves it. Cost is O(|scope|) regardless of how far the reduction
+// propagated — the property that makes per-trial incremental re-keying
+// cheaper than re-deriving a subgroup's keys from scratch even when an
+// assignment constant-folds a large region. Both sets are indexed by this
+// reduction's netlist IDs, and reusing them across calls allocates nothing.
 //
 // The restriction is sound for cone.Overlay whenever scope is fanin-closed
 // over the keyed subtrees (every net within cone depth of a keyed root is in
 // scope): any fanin path from a keyed net to a changed net then lies wholly
 // inside scope, so the restricted walk assigns the same distances the global
 // walk would.
-func (r *Reduction) DirtyDistancesIn(scope map[netlist.NetID]bool, maxDist int) map[netlist.NetID]int {
-	dist := make(map[netlist.NetID]int)
-	frontier := make([]netlist.NetID, 0, 16)
-	//anlz:ignore mapdet level-order BFS: dist assigns each net its level, so the returned map is order-independent
-	for n := range scope {
-		if r.vals[n].Known() {
-			dist[n] = 0
-			frontier = append(frontier, n)
+func (r *Reduction) DirtyDistancesIn(scope *netlist.NetMarks, maxDist int, dist *netlist.NetMarks) {
+	dist.Clear()
+	for _, n := range scope.Nets() {
+		if r.isKnown(n) {
+			dist.Set(n, 0)
 		}
 	}
-	var next []netlist.NetID
-	for d := 1; d <= maxDist && len(frontier) > 0; d++ {
-		next = next[:0]
-		for _, n := range frontier {
-			for _, g := range r.nl.Net(n).Fanout {
-				gate := r.nl.Gate(g)
-				if !gate.Kind.IsCombinational() || !scope[gate.Output] {
-					continue
-				}
-				if _, seen := dist[gate.Output]; seen {
-					continue
-				}
-				dist[gate.Output] = d
-				next = append(next, gate.Output)
+	r.dirtyWalk(scope, maxDist, dist)
+}
+
+// dirtyWalk extends dist, seeded with the changed nets at distance 0, by a
+// level-order BFS over fanout edges. dist's insertion order is the BFS
+// queue. A nil scope walks the whole netlist.
+func (r *Reduction) dirtyWalk(scope *netlist.NetMarks, maxDist int, dist *netlist.NetMarks) {
+	for i := 0; i < dist.Len(); i++ {
+		n := dist.Nets()[i]
+		d, _ := dist.Get(n)
+		if d >= maxDist {
+			break // level order: every later net is at least this far
+		}
+		for _, g := range r.nl.Net(n).Fanout {
+			gate := r.nl.Gate(g)
+			if !gate.Kind.IsCombinational() || dist.Has(gate.Output) {
+				continue
 			}
+			if scope != nil && !scope.Has(gate.Output) {
+				continue
+			}
+			dist.Set(gate.Output, d+1)
 		}
-		frontier, next = next, frontier
 	}
-	return dist
 }
 
 // AssignedCount returns the number of nets with inferred constants.
 func (r *Reduction) AssignedCount() int {
 	c := 0
-	for _, v := range r.vals {
-		if v.Known() {
-			c++
-		}
+	for _, w := range r.known {
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
@@ -293,7 +367,7 @@ func (r *Reduction) RemovedGateCount() int {
 	c := 0
 	for gi := 0; gi < r.nl.GateCount(); gi++ {
 		g := r.nl.Gate(netlist.GateID(gi))
-		if g.Kind != logic.DFF && r.vals[g.Output].Known() {
+		if g.Kind != logic.DFF && r.isKnown(g.Output) {
 			c++
 		}
 	}
@@ -304,14 +378,14 @@ func (r *Reduction) RemovedGateCount() int {
 
 // NetConst implements netlist.View.
 func (r *Reduction) NetConst(n netlist.NetID) (logic.Value, bool) {
-	v := r.vals[n]
+	v := r.Value(n)
 	return v, v.Known()
 }
 
 // DriverOf implements netlist.View: constant nets and outputs of removed
 // gates have no driver in the reduced circuit.
 func (r *Reduction) DriverOf(n netlist.NetID) netlist.GateID {
-	if r.vals[n].Known() {
+	if r.isKnown(n) {
 		return netlist.NoGate
 	}
 	return r.nl.Net(n).Driver
@@ -320,38 +394,19 @@ func (r *Reduction) DriverOf(n netlist.NetID) netlist.GateID {
 // GateKind implements netlist.View, reporting the rewritten kind (e.g. a
 // NAND reduced to a single live input reports NOT).
 func (r *Reduction) GateKind(g netlist.GateID) logic.Kind {
-	if k, ok := r.effKind[g]; ok {
-		return k
+	if i := r.rewriteOf(g); i >= 0 {
+		return r.rwKinds[i]
 	}
-	k, ins := r.effective(g)
-	r.effKind[g] = k
-	r.effIns[g] = ins
-	return k
+	return r.nl.Gate(g).Kind
 }
 
 // GateInputs implements netlist.View, returning only the live input pins of
 // the rewritten gate.
 func (r *Reduction) GateInputs(g netlist.GateID, buf []netlist.NetID) []netlist.NetID {
-	if ins, ok := r.effIns[g]; ok {
-		return append(buf, ins...)
+	if i := r.rewriteOf(g); i >= 0 {
+		return append(buf, r.rwPins[r.rwOff[i]:r.rwOff[i+1]]...)
 	}
-	k, ins := r.effective(g)
-	r.effKind[g] = k
-	r.effIns[g] = ins
-	return append(buf, ins...)
-}
-
-func (r *Reduction) effective(g netlist.GateID) (logic.Kind, []netlist.NetID) {
-	gate := r.nl.Gate(g)
-	kind, ins, _, err := TrySimplifyGate(gate.Kind, gate.Inputs, func(n netlist.NetID) logic.Value {
-		return r.vals[n]
-	})
-	if err != nil {
-		// View methods cannot fail; a malformed gate (lenient netlist)
-		// passes through unrewritten and renders as its original structure.
-		return gate.Kind, append([]netlist.NetID(nil), gate.Inputs...)
-	}
-	return kind, ins
+	return append(buf, r.nl.Gate(g).Inputs...)
 }
 
 var _ netlist.View = (*Reduction)(nil)

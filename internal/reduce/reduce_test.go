@@ -429,12 +429,12 @@ func TestDirtyDistances(t *testing.T) {
 	// changed nets at distance 0. The DFF blocks both value propagation and
 	// the dirty walk, so q/i2/i3 must be absent.
 	for _, n := range []string{"a", "i0", "i1"} {
-		if d, ok := dist[ids[n]]; !ok || d != 0 {
+		if d, ok := dist.Get(ids[n]); !ok || d != 0 {
 			t.Errorf("dist[%s] = %d, %v; want 0, true", n, d, ok)
 		}
 	}
 	for _, n := range []string{"q", "i2", "i3"} {
-		if d, ok := dist[ids[n]]; ok {
+		if d, ok := dist.Get(ids[n]); ok {
 			t.Errorf("dist[%s] = %d; want absent (behind DFF)", n, d)
 		}
 	}
@@ -470,13 +470,13 @@ func TestDirtyDistancesFanoutLevels(t *testing.T) {
 	dist := red.DirtyDistances(2)
 	want := map[string]int{"x": 0, "l1": 1, "l2": 2}
 	for n, d := range want {
-		if got, ok := dist[ids[n]]; !ok || got != d {
+		if got, ok := dist.Get(ids[n]); !ok || got != d {
 			t.Errorf("dist[%s] = %d, %v; want %d, true", n, got, ok, d)
 		}
 	}
 	// The bound must cut the walk: l3 and l4 lie beyond maxDist=2.
 	for _, n := range []string{"l3", "l4"} {
-		if d, ok := dist[ids[n]]; ok {
+		if d, ok := dist.Get(ids[n]); ok {
 			t.Errorf("dist[%s] = %d; want absent (beyond maxDist)", n, d)
 		}
 	}
@@ -506,32 +506,38 @@ func TestDirtyDistancesInScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scope := map[netlist.NetID]bool{ids["x"]: true, ids["l1"]: true, ids["l3"]: true}
-	dist := red.DirtyDistancesIn(scope, 5)
-	if d, ok := dist[ids["x"]]; !ok || d != 0 {
+	scope := netlist.NewNetMarks(nl.NetCount())
+	for _, n := range []string{"x", "l1", "l3"} {
+		scope.Add(ids[n])
+	}
+	dist := netlist.NewNetMarks(nl.NetCount())
+	red.DirtyDistancesIn(scope, 5, dist)
+	if d, ok := dist.Get(ids["x"]); !ok || d != 0 {
 		t.Errorf("dist[x] = %d, %v; want 0", d, ok)
 	}
-	if d, ok := dist[ids["l1"]]; !ok || d != 1 {
+	if d, ok := dist.Get(ids["l1"]); !ok || d != 1 {
 		t.Errorf("dist[l1] = %d, %v; want 1", d, ok)
 	}
 	for _, n := range []string{"l2", "l3"} {
-		if d, ok := dist[ids[n]]; ok {
+		if d, ok := dist.Get(ids[n]); ok {
 			t.Errorf("dist[%s] = %d; want absent (l2 out of scope cuts the walk)", n, d)
 		}
 	}
 	// With a fanin-closed scope the distances match the global walk.
-	full := map[netlist.NetID]bool{}
+	full := netlist.NewNetMarks(nl.NetCount())
 	for n := range ids {
-		full[ids[n]] = true
+		full.Add(ids[n])
 	}
-	got := red.DirtyDistancesIn(full, 5)
+	// Reusing dist also pins that DirtyDistancesIn clears it first.
+	red.DirtyDistancesIn(full, 5, dist)
 	want := red.DirtyDistances(5)
-	if len(got) != len(want) {
-		t.Fatalf("full-scope dist %v != global %v", got, want)
+	if dist.Len() != want.Len() {
+		t.Fatalf("full-scope dist has %d nets, global %d", dist.Len(), want.Len())
 	}
-	for n, d := range want {
-		if got[n] != d {
-			t.Errorf("dist[%s] = %d, global %d", nl.NetName(n), got[n], d)
+	for _, n := range want.Nets() {
+		d, _ := want.Get(n)
+		if got, ok := dist.Get(n); !ok || got != d {
+			t.Errorf("dist[%s] = %d, global %d", nl.NetName(n), got, d)
 		}
 	}
 }

@@ -29,7 +29,7 @@ type constView struct {
 }
 
 func (v constView) DriverOf(n netlist.NetID) netlist.GateID {
-	if v.r.vals[n].Known() {
+	if v.r.isKnown(n) {
 		return netlist.NoGate
 	}
 	return v.nl.Net(n).Driver
@@ -129,12 +129,12 @@ func (r *Reduction) DirtyRoots() []netlist.NetID {
 	for gi := 0; gi < r.nl.GateCount(); gi++ {
 		g := netlist.GateID(gi)
 		gate := r.nl.Gate(g)
-		if gate.Kind == logic.DFF || r.vals[gate.Output].Known() {
+		if gate.Kind == logic.DFF || r.isKnown(gate.Output) {
 			continue
 		}
 		touched := false
 		for _, in := range gate.Inputs {
-			if r.vals[in].Known() {
+			if r.isKnown(in) {
 				touched = true
 				break
 			}

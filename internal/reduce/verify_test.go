@@ -2,6 +2,7 @@ package reduce
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"gatewords/internal/eqcheck"
@@ -94,10 +95,13 @@ func TestVerifyConesRefutesBrokenRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Legitimate rewrite: g2 (y = x|b with x=0) becomes BUF b. Break it by
-	// forcing the overlay to claim NOT b instead.
+	// replacing the rewrite Apply computed with NOT b.
 	g2 := nl.Net(y).Driver
-	red.effKind[g2] = logic.Not
-	red.effIns[g2] = []netlist.NetID{b}
+	i := red.rewriteOf(g2)
+	if i < 0 || red.rwKinds[i] != logic.Buf || !slices.Equal(red.GateInputs(g2, nil), []netlist.NetID{b}) {
+		t.Fatalf("g2 rewrite index %d: want BUF b", i)
+	}
+	red.rwKinds[i] = logic.Not
 
 	res := red.VerifyCones([]netlist.NetID{y}, 8, eqcheck.Options{})
 	if res.Refuted != 1 {
