@@ -62,7 +62,21 @@ func PartialMatch(a, b *BitCone) bool {
 	if a.RootKind != b.RootKind {
 		return false
 	}
-	return Match(a, b).Matched > 0
+	// Match's two-pointer walk, stopping at the first similar pair and
+	// recording nothing: this runs once per adjacent bit pair.
+	i, j := 0, 0
+	for i < len(a.Subtrees) && j < len(b.Subtrees) {
+		ka, kb := a.Subtrees[i].Key, b.Subtrees[j].Key
+		switch {
+		case ka == kb:
+			return true
+		case ka < kb:
+			i++
+		default:
+			j++
+		}
+	}
+	return false
 }
 
 // CommonKeys returns the multiset intersection of the subtree key lists of

@@ -45,6 +45,10 @@ type Reduction struct {
 	rwOff   []int32
 	rwPins  []netlist.NetID
 
+	// frontier collects, during propagation, every gate visited while its
+	// output was unknown: the superset of the gates finish rewrites.
+	frontier []frontierGate
+
 	conflict bool
 	// ConflictGate names the gate where a contradiction surfaced, for
 	// diagnostics; empty when the assignment is feasible.
@@ -134,36 +138,40 @@ func ApplyObserved(nl *netlist.Netlist, assign map[netlist.NetID]logic.Value, re
 	return r, nil
 }
 
+// frontierGate is a gate visited with an unknown output, and that output.
+type frontierGate struct {
+	g   netlist.GateID
+	out netlist.NetID
+}
+
 // finish freezes a feasible reduction: it computes the rewrite of every
-// live gate reading a constant.
+// live gate reading a constant, in ascending gate order. Every such gate is
+// on the frontier: propagation visited it when its constant input became
+// known, and its output, unknown at the end, was unknown then too.
 func (r *Reduction) finish() {
-	r.eachKnown(func(n netlist.NetID) {
-		for _, g := range r.nl.Net(n).Fanout {
-			gate := r.nl.Gate(g)
-			if gate.Kind != logic.DFF && !r.isKnown(gate.Output) {
-				r.rwGates = append(r.rwGates, g)
-			}
+	live := make([]uint64, (r.nl.GateCount()+63)/64)
+	for _, f := range r.frontier {
+		if !r.isKnown(f.out) {
+			live[f.g>>6] |= 1 << (uint(f.g) & 63)
 		}
-	})
-	slices.Sort(r.rwGates)
-	r.rwGates = slices.Compact(r.rwGates)
-	r.rwKinds = make([]logic.Kind, 0, len(r.rwGates))
-	r.rwOff = make([]int32, 1, len(r.rwGates)+1)
-	kept := r.rwGates[:0]
-	for _, g := range r.rwGates {
-		gate := r.nl.Gate(g)
-		kind, ins, _, err := TrySimplifyGate(gate.Kind, gate.Inputs, r.Value)
-		if err != nil {
-			// View methods cannot fail; a malformed gate (lenient netlist)
-			// reads through unrewritten.
-			continue
-		}
-		kept = append(kept, g)
-		r.rwKinds = append(r.rwKinds, kind)
-		r.rwPins = append(r.rwPins, ins...)
-		r.rwOff = append(r.rwOff, int32(len(r.rwPins)))
 	}
-	r.rwGates = slices.Clip(kept)
+	r.frontier = nil
+	r.rwOff = []int32{0}
+	for w, word := range live {
+		for ; word != 0; word &= word - 1 {
+			g := netlist.GateID(w*64 + bits.TrailingZeros64(word))
+			gate := r.nl.Gate(g)
+			var kind logic.Kind
+			kind, r.rwPins, _ = appendSimplified(r.rwPins, gate.Kind, gate.Inputs, r.Value)
+			r.rwGates = append(r.rwGates, g)
+			r.rwKinds = append(r.rwKinds, kind)
+			r.rwOff = append(r.rwOff, int32(len(r.rwPins)))
+		}
+	}
+	r.rwGates = slices.Clip(r.rwGates)
+	r.rwKinds = slices.Clip(r.rwKinds)
+	r.rwOff = slices.Clip(r.rwOff)
+	r.rwPins = slices.Clip(r.rwPins)
 }
 
 // eachKnown calls fn for every net with an inferred constant, in ascending
@@ -247,20 +255,24 @@ func (r *Reduction) visitGate(g netlist.GateID, queue []netlist.NetID, inbuf *[]
 		}
 	}
 
+	if !cur.Known() {
+		// Nothing to imply backward; the gate may need a rewrite.
+		r.frontier = append(r.frontier, frontierGate{g: g, out: gate.Output})
+		return queue
+	}
+
 	// Backward.
-	if cur.Known() {
-		newly, bad := logic.ImplyInputs(gate.Kind, cur, in)
-		if bad {
-			r.conflict = true
-			r.ConflictGate = gate.Name
-			return queue
-		}
-		if newly > 0 {
-			for i, id := range gate.Inputs {
-				if in[i].Known() && !r.isKnown(id) {
-					r.set(id, in[i])
-					queue = append(queue, id)
-				}
+	newly, bad := logic.ImplyInputs(gate.Kind, cur, in)
+	if bad {
+		r.conflict = true
+		r.ConflictGate = gate.Name
+		return queue
+	}
+	if newly > 0 {
+		for i, id := range gate.Inputs {
+			if in[i].Known() && !r.isKnown(id) {
+				r.set(id, in[i])
+				queue = append(queue, id)
 			}
 		}
 	}

@@ -35,10 +35,22 @@ func TrySimplifyGate(k logic.Kind, ins []netlist.NetID, val func(netlist.NetID) 
 // to AND/OR residues would require synthesizing new inverters, which an
 // overlay cannot do.
 func SimplifyGate(k logic.Kind, ins []netlist.NetID, val func(netlist.NetID) logic.Value) (logic.Kind, []netlist.NetID, logic.Value) {
+	return appendSimplified(nil, k, ins, val)
+}
+
+// appendSimplified is SimplifyGate appending the effective input pins to
+// dst and returning the extended slice, so a caller collecting many
+// rewrites (Apply) keeps them in one arena.
+func appendSimplified(dst []netlist.NetID, k logic.Kind, ins []netlist.NetID, val func(netlist.NetID) logic.Value) (logic.Kind, []netlist.NetID, logic.Value) {
 	if k == logic.DFF {
-		return logic.DFF, append([]netlist.NetID(nil), ins...), logic.X
+		return logic.DFF, append(dst, ins...), logic.X
 	}
-	vals := make([]logic.Value, len(ins))
+	var small [4]logic.Value
+	vals := small[:0]
+	if len(ins) > len(small) {
+		vals = make([]logic.Value, 0, len(ins))
+	}
+	vals = vals[:len(ins)]
 	anyKnown := false
 	for i, id := range ins {
 		vals[i] = val(id)
@@ -48,20 +60,20 @@ func SimplifyGate(k logic.Kind, ins []netlist.NetID, val func(netlist.NetID) log
 	}
 	out := logic.Eval(k, vals)
 	if out.Known() {
-		return k, nil, out
+		return k, dst, out
 	}
 	if !anyKnown {
-		return k, append([]netlist.NetID(nil), ins...), logic.X
+		return k, append(dst, ins...), logic.X
 	}
 
 	switch k {
 	case logic.Buf, logic.Not:
 		// Input unknown (otherwise the output would be known).
-		return k, append([]netlist.NetID(nil), ins...), logic.X
+		return k, append(dst, ins...), logic.X
 
 	case logic.And, logic.Or, logic.Nand, logic.Nor:
-		live := liveInputs(ins, vals)
-		if len(live) == 1 {
+		live := appendLive(dst, ins, vals)
+		if len(live)-len(dst) == 1 {
 			switch k {
 			case logic.And, logic.Or:
 				return logic.Buf, live, logic.X
@@ -72,7 +84,7 @@ func SimplifyGate(k logic.Kind, ins []netlist.NetID, val func(netlist.NetID) log
 		return k, live, logic.X
 
 	case logic.Xor, logic.Xnor:
-		live := liveInputs(ins, vals)
+		live := appendLive(dst, ins, vals)
 		kk := k
 		for _, v := range vals {
 			if v == logic.One {
@@ -83,7 +95,7 @@ func SimplifyGate(k logic.Kind, ins []netlist.NetID, val func(netlist.NetID) log
 				}
 			}
 		}
-		if len(live) == 1 {
+		if len(live)-len(dst) == 1 {
 			if kk == logic.Xor {
 				return logic.Buf, live, logic.X
 			}
@@ -96,64 +108,64 @@ func SimplifyGate(k logic.Kind, ins []netlist.NetID, val func(netlist.NetID) log
 		vs, va, vb := vals[0], vals[1], vals[2]
 		switch vs {
 		case logic.Zero:
-			return resimplify(logic.Buf, []netlist.NetID{a}, val)
+			return resimplify(dst, logic.Buf, []netlist.NetID{a}, val)
 		case logic.One:
-			return resimplify(logic.Buf, []netlist.NetID{b}, val)
+			return resimplify(dst, logic.Buf, []netlist.NetID{b}, val)
 		}
 		if va.Known() && vb.Known() {
 			// va != vb, otherwise the output would be known.
 			if va == logic.Zero {
-				return logic.Buf, []netlist.NetID{sel}, logic.X
+				return logic.Buf, append(dst, sel), logic.X
 			}
-			return logic.Not, []netlist.NetID{sel}, logic.X
+			return logic.Not, append(dst, sel), logic.X
 		}
-		return logic.Mux2, append([]netlist.NetID(nil), ins...), logic.X
+		return logic.Mux2, append(dst, ins...), logic.X
 
 	case logic.Aoi21: // !((a&b) | c)
 		a, b, c := ins[0], ins[1], ins[2]
 		va, vb, vc := vals[0], vals[1], vals[2]
 		switch {
 		case vc == logic.Zero:
-			return resimplify(logic.Nand, []netlist.NetID{a, b}, val)
+			return resimplify(dst, logic.Nand, []netlist.NetID{a, b}, val)
 		case va == logic.One:
-			return resimplify(logic.Nor, []netlist.NetID{b, c}, val)
+			return resimplify(dst, logic.Nor, []netlist.NetID{b, c}, val)
 		case vb == logic.One:
-			return resimplify(logic.Nor, []netlist.NetID{a, c}, val)
+			return resimplify(dst, logic.Nor, []netlist.NetID{a, c}, val)
 		case va == logic.Zero || vb == logic.Zero:
-			return resimplify(logic.Not, []netlist.NetID{c}, val)
+			return resimplify(dst, logic.Not, []netlist.NetID{c}, val)
 		}
-		return logic.Aoi21, append([]netlist.NetID(nil), ins...), logic.X
+		return logic.Aoi21, append(dst, ins...), logic.X
 
 	case logic.Oai21: // !((a|b) & c)
 		a, b, c := ins[0], ins[1], ins[2]
 		va, vb, vc := vals[0], vals[1], vals[2]
 		switch {
 		case vc == logic.One:
-			return resimplify(logic.Nor, []netlist.NetID{a, b}, val)
+			return resimplify(dst, logic.Nor, []netlist.NetID{a, b}, val)
 		case va == logic.Zero:
-			return resimplify(logic.Nand, []netlist.NetID{b, c}, val)
+			return resimplify(dst, logic.Nand, []netlist.NetID{b, c}, val)
 		case vb == logic.Zero:
-			return resimplify(logic.Nand, []netlist.NetID{a, c}, val)
+			return resimplify(dst, logic.Nand, []netlist.NetID{a, c}, val)
 		case va == logic.One || vb == logic.One:
-			return resimplify(logic.Not, []netlist.NetID{c}, val)
+			return resimplify(dst, logic.Not, []netlist.NetID{c}, val)
 		}
-		return logic.Oai21, append([]netlist.NetID(nil), ins...), logic.X
+		return logic.Oai21, append(dst, ins...), logic.X
 	}
-	return k, append([]netlist.NetID(nil), ins...), logic.X
+	return k, append(dst, ins...), logic.X
 }
 
-// resimplify re-runs SimplifyGate on a rewritten gate so cascaded knowledge
-// (e.g. AOI21 with c=0 and a=1) fully collapses.
-func resimplify(k logic.Kind, ins []netlist.NetID, val func(netlist.NetID) logic.Value) (logic.Kind, []netlist.NetID, logic.Value) {
-	return SimplifyGate(k, ins, val)
+// resimplify re-runs the simplification on a rewritten gate so cascaded
+// knowledge (e.g. AOI21 with c=0 and a=1) fully collapses.
+func resimplify(dst []netlist.NetID, k logic.Kind, ins []netlist.NetID, val func(netlist.NetID) logic.Value) (logic.Kind, []netlist.NetID, logic.Value) {
+	return appendSimplified(dst, k, ins, val)
 }
 
-func liveInputs(ins []netlist.NetID, vals []logic.Value) []netlist.NetID {
-	live := make([]netlist.NetID, 0, len(ins))
+// appendLive appends the pins of ins whose values are unknown to dst.
+func appendLive(dst, ins []netlist.NetID, vals []logic.Value) []netlist.NetID {
 	for i, id := range ins {
 		if !vals[i].Known() {
-			live = append(live, id)
+			dst = append(dst, id)
 		}
 	}
-	return live
+	return dst
 }
