@@ -168,10 +168,6 @@ func (r *Reduction) finish() {
 			r.rwOff = append(r.rwOff, int32(len(r.rwPins)))
 		}
 	}
-	r.rwGates = slices.Clip(r.rwGates)
-	r.rwKinds = slices.Clip(r.rwKinds)
-	r.rwOff = slices.Clip(r.rwOff)
-	r.rwPins = slices.Clip(r.rwPins)
 }
 
 // eachKnown calls fn for every net with an inferred constant, in ascending
@@ -295,7 +291,7 @@ func (r *Reduction) Value(n netlist.NetID) logic.Value {
 // Bytes estimates the memory the reduction retains, for callers that cache
 // reductions under a memory bound.
 func (r *Reduction) Bytes() int {
-	return 8*(len(r.known)+len(r.one)) + 4*len(r.rwGates) + len(r.rwKinds) + 4*len(r.rwOff) + 4*len(r.rwPins)
+	return 8*(cap(r.known)+cap(r.one)) + 4*cap(r.rwGates) + cap(r.rwKinds) + 4*cap(r.rwOff) + 4*cap(r.rwPins)
 }
 
 // DirtyDistances returns, for every net lying within maxDist fanin levels

@@ -40,7 +40,9 @@ func SimplifyGate(k logic.Kind, ins []netlist.NetID, val func(netlist.NetID) log
 
 // appendSimplified is SimplifyGate appending the effective input pins to
 // dst and returning the extended slice, so a caller collecting many
-// rewrites (Apply) keeps them in one arena.
+// rewrites (Apply) keeps them in one arena. A rewrite to a smaller gate
+// recurses so cascaded knowledge (e.g. AOI21 with c=0 and a=1) fully
+// collapses.
 func appendSimplified(dst []netlist.NetID, k logic.Kind, ins []netlist.NetID, val func(netlist.NetID) logic.Value) (logic.Kind, []netlist.NetID, logic.Value) {
 	if k == logic.DFF {
 		return logic.DFF, append(dst, ins...), logic.X
@@ -108,9 +110,9 @@ func appendSimplified(dst []netlist.NetID, k logic.Kind, ins []netlist.NetID, va
 		vs, va, vb := vals[0], vals[1], vals[2]
 		switch vs {
 		case logic.Zero:
-			return resimplify(dst, logic.Buf, []netlist.NetID{a}, val)
+			return appendSimplified(dst, logic.Buf, []netlist.NetID{a}, val)
 		case logic.One:
-			return resimplify(dst, logic.Buf, []netlist.NetID{b}, val)
+			return appendSimplified(dst, logic.Buf, []netlist.NetID{b}, val)
 		}
 		if va.Known() && vb.Known() {
 			// va != vb, otherwise the output would be known.
@@ -126,13 +128,13 @@ func appendSimplified(dst []netlist.NetID, k logic.Kind, ins []netlist.NetID, va
 		va, vb, vc := vals[0], vals[1], vals[2]
 		switch {
 		case vc == logic.Zero:
-			return resimplify(dst, logic.Nand, []netlist.NetID{a, b}, val)
+			return appendSimplified(dst, logic.Nand, []netlist.NetID{a, b}, val)
 		case va == logic.One:
-			return resimplify(dst, logic.Nor, []netlist.NetID{b, c}, val)
+			return appendSimplified(dst, logic.Nor, []netlist.NetID{b, c}, val)
 		case vb == logic.One:
-			return resimplify(dst, logic.Nor, []netlist.NetID{a, c}, val)
+			return appendSimplified(dst, logic.Nor, []netlist.NetID{a, c}, val)
 		case va == logic.Zero || vb == logic.Zero:
-			return resimplify(dst, logic.Not, []netlist.NetID{c}, val)
+			return appendSimplified(dst, logic.Not, []netlist.NetID{c}, val)
 		}
 		return logic.Aoi21, append(dst, ins...), logic.X
 
@@ -141,23 +143,17 @@ func appendSimplified(dst []netlist.NetID, k logic.Kind, ins []netlist.NetID, va
 		va, vb, vc := vals[0], vals[1], vals[2]
 		switch {
 		case vc == logic.One:
-			return resimplify(dst, logic.Nor, []netlist.NetID{a, b}, val)
+			return appendSimplified(dst, logic.Nor, []netlist.NetID{a, b}, val)
 		case va == logic.Zero:
-			return resimplify(dst, logic.Nand, []netlist.NetID{b, c}, val)
+			return appendSimplified(dst, logic.Nand, []netlist.NetID{b, c}, val)
 		case vb == logic.Zero:
-			return resimplify(dst, logic.Nand, []netlist.NetID{a, c}, val)
+			return appendSimplified(dst, logic.Nand, []netlist.NetID{a, c}, val)
 		case va == logic.One || vb == logic.One:
-			return resimplify(dst, logic.Not, []netlist.NetID{c}, val)
+			return appendSimplified(dst, logic.Not, []netlist.NetID{c}, val)
 		}
 		return logic.Oai21, append(dst, ins...), logic.X
 	}
 	return k, append(dst, ins...), logic.X
-}
-
-// resimplify re-runs the simplification on a rewritten gate so cascaded
-// knowledge (e.g. AOI21 with c=0 and a=1) fully collapses.
-func resimplify(dst []netlist.NetID, k logic.Kind, ins []netlist.NetID, val func(netlist.NetID) logic.Value) (logic.Kind, []netlist.NetID, logic.Value) {
-	return appendSimplified(dst, k, ins, val)
 }
 
 // appendLive appends the pins of ins whose values are unknown to dst.
