@@ -11,13 +11,14 @@ import "gatewords/internal/netlist"
 //
 // dist gives, for each net within reach of the modification, the minimum
 // number of driver (fanin) steps from that net down to a changed net
-// (reduce.Reduction.DirtyDistances and DirtyDistancesIn compute it). The subtree (net, depth)
-// renders identically under both views exactly when no changed net lies
-// within depth levels of its root — i.e. when dist[net] > depth — because a
-// changed net at distance d <= depth alters the expansion: at d < depth it
-// changes which gates unfold, and at d == depth it rewrites the effective
-// kind and surviving pins of a gate on the expansion frontier. Nets absent
-// from dist are out of reach and always delegate to the base memo.
+// (reduce.Reduction.DirtyDistances and DirtyDistancesIn compute it). The
+// subtree (net, depth) renders identically under both views exactly when no
+// changed net lies within depth levels of its root — i.e. when dist[net] >
+// depth — because a changed net at distance d <= depth alters the
+// expansion: at d < depth it changes which gates unfold, and at d == depth
+// it rewrites the effective kind and surviving pins of a gate on the
+// expansion frontier. Nets absent from dist are out of reach and always
+// delegate to the base memo.
 //
 // An Overlay interns into the base builder's Interner, so its KeyIDs are
 // directly comparable with base keys.

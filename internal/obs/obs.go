@@ -146,8 +146,8 @@ const (
 )
 
 var counterNames = [NumCounters]string{
-	"trials", "reductions", "reduce_gate_visits", "reduce_memo_hits", "eq_checks",
-	"sim_rounds", "sat_decisions", "sat_propagations", "sat_conflicts",
+	"trials", "reductions", "reduce_gate_visits", "reduce_memo_hits",
+	"eq_checks", "sim_rounds", "sat_decisions", "sat_propagations", "sat_conflicts",
 	"sat_retries", "panics_recovered", "degraded_subgroups",
 	"scoap_iterations", "scoap_widened_sccs", "triage_suspects",
 	"sat_learned_clauses", "sat_restarts", "sat_assumption_solves",
