@@ -32,9 +32,10 @@ vet-fix:
 # check is the full pre-commit gate: vet, formatting, the contract
 # analyzers, the race-detector test pass (which subsumes the plain test
 # pass — every test runs exactly once, instrumented), the fault-injection
-# matrix, the daemon smoke, and the bench emitter smokes. gatevet runs
-# before the test passes: contract findings are cheaper to surface than a
-# full race run.
+# matrix, the daemon smoke, the chaos soak, and the three bench emitter
+# smokes (pipeline, scoap, eqcheck). gatevet runs before the test passes:
+# contract findings are cheaper to surface than a full race run. CI runs
+# this target once rather than repeating its steps.
 check:
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
@@ -44,6 +45,7 @@ check:
 	$(MAKE) faults
 	$(MAKE) serve-smoke
 	$(MAKE) chaos
+	$(MAKE) bench-pipeline-smoke
 	$(MAKE) bench-scoap-smoke
 	$(MAKE) bench-eqcheck-smoke
 

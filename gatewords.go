@@ -311,20 +311,6 @@ func (o *Observer) absorb(r *obs.Recorder) {
 	o.rec.Merge(r)
 }
 
-// AddCounter accumulates n into counter c under the Observer's lock. The
-// pipeline records counters through private per-run recorders, but the
-// serving layer (internal/service) also attributes service-level events —
-// shed jobs, quarantine trips, journal replays — to the same closed counter
-// schema, so one /metrics document carries both. Safe on a nil Observer.
-func (o *Observer) AddCounter(c obs.Counter, n int64) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.rec.Add(c, n)
-}
-
 // snapshot returns a private copy of the current state (nil on a nil
 // Observer, which every obs.Recorder method accepts).
 func (o *Observer) snapshot() *obs.Recorder {
@@ -334,17 +320,6 @@ func (o *Observer) snapshot() *obs.Recorder {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.rec.Clone()
-}
-
-// Merge folds other's observations into o (stage times and counters add,
-// gauges keep the peak). Both Observers may be in concurrent use; merging an
-// Observer into itself, or a nil on either side, is a no-op. This is how a
-// server aggregates per-job Observers into one served metrics view.
-func (o *Observer) Merge(other *Observer) {
-	if o == nil || other == nil || o == other {
-		return
-	}
-	o.absorb(other.snapshot())
 }
 
 // Snapshot returns an independent copy of the Observer's current state, safe
@@ -365,8 +340,9 @@ func (o *Observer) WriteText(w io.Writer) error { return o.snapshot().WriteText(
 // and gauges as arrays in a fixed order).
 func (o *Observer) MarshalJSON() ([]byte, error) { return o.snapshot().MarshalJSON() }
 
-// StageLine renders the per-stage time split on one line
-// ("group=0.1ms match=2.3ms ...").
+// StageLine renders the per-stage time split on one line ("group=0.1ms
+// match=2.3ms ctrlsig=0.4ms trial=8.9ms verify=0.0ms scoap=0.0ms
+// triage=0.0ms").
 func (o *Observer) StageLine() string { return o.snapshot().StageLine() }
 
 // Word is one identified word.

@@ -152,20 +152,11 @@ type Word struct {
 	Assignment map[netlist.NetID]logic.Value
 }
 
-// Stats counts pipeline work for reporting and benchmarks.
+// Stats summarizes the run's outcome for the report: how words were
+// produced, what verification concluded, and whether the run was cut short
+// or degraded. Work counts (trials, reductions, propagation visits, SAT
+// effort) live in Options.Observer, the run's one accounting path.
 type Stats struct {
-	Groups        int // first-level adjacency groups
-	Subgroups     int // partially/fully matched subgroups
-	CandidateBits int // bits with analyzable cones
-	// Trials counts assignment trials attempted: every trial the
-	// enumeration budget admitted, feasible or not. It is not a count of
-	// reduce.Apply calls: each distinct assignment is propagated once per
-	// Identify, and a repeated one is served from the run's memo.
-	Trials int
-	// Reductions counts the trials whose propagation succeeded (no
-	// contradiction), i.e. the trials that actually produced a reduced
-	// circuit to re-match on. Trials - Reductions is the infeasible count.
-	Reductions        int
 	ReducedWords      int // words verified through reduction
 	PartialGroupWords int // words emitted by the Theta rule
 	// Cone-equivalence verification outcomes (Options.VerifyReduction).
@@ -255,7 +246,7 @@ func Identify(nl *netlist.Netlist, opt Options) *Result {
 		}
 	}
 	opt.Observer.Merge(w.rec)
-	return m.result(len(groups))
+	return m.result()
 }
 
 // worker is one goroutine's reusable pipeline state. Its pipeline — key
@@ -393,10 +384,6 @@ func (m *merger) add(out groupOutcome) {
 	r := &out.res
 	m.res.Words = append(m.res.Words, r.Words...)
 	m.res.Trace = append(m.res.Trace, r.Trace...)
-	m.res.Stats.Subgroups += r.Stats.Subgroups
-	m.res.Stats.CandidateBits += r.Stats.CandidateBits
-	m.res.Stats.Trials += r.Stats.Trials
-	m.res.Stats.Reductions += r.Stats.Reductions
 	m.res.Stats.ReducedWords += r.Stats.ReducedWords
 	m.res.Stats.PartialGroupWords += r.Stats.PartialGroupWords
 	m.res.Stats.ConesProved += r.Stats.ConesProved
@@ -410,8 +397,7 @@ func (m *merger) add(out groupOutcome) {
 	m.found = append(m.found, r.FoundControlSignals...)
 }
 
-func (m *merger) result(nGroups int) *Result {
-	m.res.Stats.Groups = nGroups
+func (m *merger) result() *Result {
 	m.res.UsedControlSignals = sortedUnique(m.used)
 	m.res.FoundControlSignals = sortedUnique(m.found)
 	return &m.res
@@ -473,7 +459,7 @@ func identifyParallel(nl *netlist.Netlist, opt Options, memo *reductionMemo, gro
 	for _, w := range pool {
 		opt.Observer.Merge(w.rec)
 	}
-	merged := m.result(len(groups))
+	merged := m.result()
 	merged.Failures = append(merged.Failures, poolFailures...)
 	return merged
 }
@@ -559,7 +545,6 @@ func (p *pipeline) processGroup(nets []netlist.NetID) {
 				prev = nil
 				continue
 			}
-			p.result.Stats.CandidateBits++
 			if prev != nil && !cone.FullMatch(prev, bc) && !cone.PartialMatch(prev, bc) {
 				flush()
 			}
@@ -572,7 +557,6 @@ func (p *pipeline) processGroup(nets []netlist.NetID) {
 		if p.cancelled() {
 			return
 		}
-		p.result.Stats.Subgroups++
 		p.rec.Max(obs.GaugeSubgroupBits, int64(len(sg)))
 		p.resolveSubgroup(sg)
 	}
@@ -659,7 +643,6 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 			}
 			trials++
 			p.groupTrials++
-			p.result.Stats.Trials++
 			p.rec.Add(obs.CtrTrials, 1)
 			tr := p.tryAssignment(bits, assign)
 			if tr == nil {
@@ -881,7 +864,6 @@ func (p *pipeline) tryAssignment(bits []*cone.BitCone, assign map[netlist.NetID]
 		p.tracef("reduce conflict: %v", err)
 		return nil
 	}
-	p.result.Stats.Reductions++
 	p.rec.Add(obs.CtrReductions, 1)
 	red.DirtyDistancesIn(p.scope, p.opt.Depth-1, p.dist)
 	if p.ov == nil {

@@ -7,6 +7,7 @@ import (
 	"gatewords/internal/cone"
 	"gatewords/internal/logic"
 	"gatewords/internal/netlist"
+	"gatewords/internal/obs"
 )
 
 // wordNet builds one Figure-1-style word at gate level (internals first,
@@ -221,13 +222,14 @@ func TestIdentifyFullySimilarNeedsNoControls(t *testing.T) {
 	if err := nl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res := Identify(nl, Options{})
+	rec := obs.New()
+	res := Identify(nl, Options{Observer: rec})
 	w := findWord(res, bits)
 	if w == nil || !w.Verified || len(w.Controls) != 0 {
 		t.Fatalf("fully similar word mishandled: %+v", w)
 	}
-	if res.Stats.Reductions != 0 {
-		t.Errorf("no reductions expected: %+v", res.Stats)
+	if n := rec.Count(obs.CtrReductions); n != 0 {
+		t.Errorf("no reductions expected, got %d", n)
 	}
 }
 
@@ -282,13 +284,14 @@ func TestOptionsDepthClamp(t *testing.T) {
 	}
 }
 
-// TestStatsTrialsVsReductions pins the accounting contract: Trials counts
-// every assignment trial the enumeration admitted; Reductions counts only
-// the feasible ones. The trace records each, so the counters must agree
-// with the trace line-for-line.
+// TestStatsTrialsVsReductions pins the accounting contract: CtrTrials
+// counts every assignment trial the enumeration admitted; CtrReductions
+// counts only the feasible ones. The trace records each, so the counters
+// must agree with the trace line-for-line.
 func TestStatsTrialsVsReductions(t *testing.T) {
 	nl, _, _, _ := wordNet(t, 4, true)
-	res := Identify(nl, Options{CollectTrace: true})
+	rec := obs.New()
+	res := Identify(nl, Options{CollectTrace: true, Observer: rec})
 	trialLines, classLines := 0, 0
 	for _, line := range res.Trace {
 		if strings.Contains(line, ": trial ") {
@@ -298,16 +301,17 @@ func TestStatsTrialsVsReductions(t *testing.T) {
 			classLines++
 		}
 	}
-	if res.Stats.Trials != trialLines {
-		t.Errorf("Stats.Trials = %d, %d trial lines in trace", res.Stats.Trials, trialLines)
+	trials, reductions := rec.Count(obs.CtrTrials), rec.Count(obs.CtrReductions)
+	if trials != int64(trialLines) {
+		t.Errorf("trials = %d, %d trial lines in trace", trials, trialLines)
 	}
-	if res.Stats.Reductions != classLines {
-		t.Errorf("Stats.Reductions = %d, %d feasible-trial lines in trace", res.Stats.Reductions, classLines)
+	if reductions != int64(classLines) {
+		t.Errorf("reductions = %d, %d feasible-trial lines in trace", reductions, classLines)
 	}
-	if res.Stats.Reductions > res.Stats.Trials {
-		t.Errorf("Reductions %d exceeds Trials %d", res.Stats.Reductions, res.Stats.Trials)
+	if reductions > trials {
+		t.Errorf("reductions %d exceeds trials %d", reductions, trials)
 	}
-	if res.Stats.Trials == 0 {
+	if trials == 0 {
 		t.Error("expected at least one trial on the two-signal circuit")
 	}
 }
@@ -329,7 +333,7 @@ func TestTryAssignmentAccounting(t *testing.T) {
 	if err := nl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p := newPipeline(nl, Options{}.withDefaults(), newReductionMemo(nl))
+	p := newPipeline(nl, Options{Observer: obs.New()}.withDefaults(), newReductionMemo(nl))
 	bits := []*cone.BitCone{p.b.Bit(bit)}
 	if bits[0] == nil {
 		t.Fatal("no cone for bit")
@@ -340,16 +344,16 @@ func TestTryAssignmentAccounting(t *testing.T) {
 	if tr := p.tryAssignment(bits, map[netlist.NetID]logic.Value{k: logic.Zero, z: logic.Zero}); tr != nil {
 		t.Fatal("contradictory assignment accepted")
 	}
-	if p.result.Stats.Reductions != 0 {
-		t.Errorf("infeasible trial counted as reduction: %+v", p.result.Stats)
+	if n := p.rec.Count(obs.CtrReductions); n != 0 {
+		t.Errorf("infeasible trial counted as reduction: %d", n)
 	}
 
 	tr := p.tryAssignment(bits, map[netlist.NetID]logic.Value{k: logic.Zero})
 	if tr == nil {
 		t.Fatal("feasible assignment rejected")
 	}
-	if p.result.Stats.Reductions != 1 {
-		t.Errorf("feasible trial not counted: %+v", p.result.Stats)
+	if n := p.rec.Count(obs.CtrReductions); n != 1 {
+		t.Errorf("feasible trial not counted: %d reductions", n)
 	}
 	if tr.maxClass != 1 || len(tr.classes) != 1 {
 		t.Errorf("trial classes: %+v", tr)

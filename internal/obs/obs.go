@@ -70,7 +70,9 @@ func (s Stage) String() string {
 // Counter identifies one monotonically accumulated work counter.
 type Counter uint8
 
-// The work counters. NumCounters bounds the enum.
+// The work counters. NumCounters bounds the enum. They count pipeline work
+// only; daemon events (shed jobs, quarantine trips, journal replays) are
+// counted by the serving layer's own counters.
 const (
 	// CtrTrials counts assignment trials attempted. A trial is not a
 	// reduce.Apply call: core propagates each distinct assignment once per
@@ -127,20 +129,6 @@ const (
 	// against the AIG — each one is a solver bug surfaced instead of a
 	// silently degraded Unknown.
 	CtrSATModelsRejected
-	// CtrJobsShed counts service submissions refused by admission control
-	// (deadline infeasible or load shedding), as opposed to queue-full
-	// rejections. Shed jobs never executed; the counter is the price the
-	// daemon paid to stay inside its latency contract.
-	CtrJobsShed
-	// CtrQuarantineTrips counts circuit-breaker trips: a netlist fingerprint
-	// crossing the consecutive-failure threshold and entering quarantine.
-	CtrQuarantineTrips
-	// CtrJournalReplays counts jobs restored from the durable job journal at
-	// daemon startup (terminal jobs re-served plus queued jobs re-enqueued).
-	CtrJournalReplays
-	// CtrJournalTornRecords counts torn or corrupt journal tails detected and
-	// discarded during replay — a crash mid-append, never silently replayed.
-	CtrJournalTornRecords
 
 	NumCounters
 )
@@ -151,8 +139,7 @@ var counterNames = [NumCounters]string{
 	"sat_retries", "panics_recovered", "degraded_subgroups",
 	"scoap_iterations", "scoap_widened_sccs", "triage_suspects",
 	"sat_learned_clauses", "sat_restarts", "sat_assumption_solves",
-	"sat_models_rejected", "jobs_shed", "quarantine_trips",
-	"journal_replays", "journal_torn_records",
+	"sat_models_rejected",
 }
 
 // String names the counter.
@@ -444,7 +431,8 @@ func (r *Recorder) WriteText(w io.Writer) error {
 }
 
 // StageLine renders the stage split on one line, for table footnotes:
-// "group=0.1ms match=2.3ms ctrlsig=0.4ms trial=8.9ms verify=0ms".
+// "group=0.1ms match=2.3ms ctrlsig=0.4ms trial=8.9ms verify=0.0ms
+// scoap=0.0ms triage=0.0ms".
 func (r *Recorder) StageLine() string {
 	var sb strings.Builder
 	for s := Stage(0); s < NumStages; s++ {

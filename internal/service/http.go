@@ -151,9 +151,10 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": list})
 }
 
-// MetricsDoc is the GET /metrics payload. Pipeline is the deterministic
-// obs-recorder rendering (arrays in enum order), merged over every
-// completed job's per-run Observer.
+// MetricsDoc is the GET /metrics payload. Server holds the daemon's own
+// events (jobs, cache, shedding, quarantine, journal); Pipeline is the
+// deterministic rendering (arrays in enum order) of the pipeline work every
+// executed job recorded into the server's shared Observer.
 type MetricsDoc struct {
 	Server   Counters        `json:"server"`
 	Pipeline json.RawMessage `json:"pipeline"`

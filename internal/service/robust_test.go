@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -424,6 +425,52 @@ func TestJournalSurvivesRestartChain(t *testing.T) {
 	s3, _ := newTestServer(t, Config{Workers: 1, JournalPath: path})
 	if rec := s3.Recovery(); rec.Restored != 1 || rec.Interrupted != 0 || rec.TornRecords != 0 {
 		t.Fatalf("third life recovery: %+v", rec)
+	}
+}
+
+// TestJournalTornTailCounted pins the one report of a torn journal tail: a
+// crash mid-append leaves a partial record, and the restarted daemon counts
+// it in its server counters and recovery report (the pipeline section of
+// /metrics carries no service events), while the jobs journaled before the
+// tear are still served byte-identically.
+func TestJournalTornTailCounted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+
+	s1, ts1 := newTestServer(t, Config{Workers: 1, JournalPath: path})
+	st, _ := postJob(t, ts1, SubmitRequest{Bench: "b03a"})
+	first := awaitJob(t, ts1, st.ID)
+	if first.Status != StateDone {
+		t.Fatalf("first life: %+v", first)
+	}
+	ts1.Close()
+	s1.Close()
+
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := journal.Encode(journal.Record{Job: "job-999999", Event: "accepted"})
+	if _, err := f.Write(torn[:len(torn)-2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := newTestServer(t, Config{Workers: 1, JournalPath: path})
+	if rec := s2.Recovery(); rec.TornRecords != 1 || rec.Restored != 1 {
+		t.Fatalf("recovery after torn tail: %+v", rec)
+	}
+	if c, _ := s2.Metrics(); c.JournalTornRecords != 1 {
+		t.Errorf("journal_torn_records = %d, want 1", c.JournalTornRecords)
+	}
+	doc, _ := getMetrics(t, ts2)
+	if _, ok := pipelineCounters(t, doc.Pipeline)["journal_torn_records"]; ok {
+		t.Error("journal_torn_records appears in the pipeline section of /metrics")
+	}
+	replayed := getJob(t, ts2, st.ID)
+	if replayed.Status != StateDone || !bytes.Equal(replayed.Report, first.Report) {
+		t.Fatal("job journaled before the tear is not served with its first-life bytes")
 	}
 }
 

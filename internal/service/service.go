@@ -17,8 +17,8 @@
 // the normalized job options. A duplicate of a completed job is served from
 // the cache in O(1) with byte-identical report JSON; a duplicate of a job
 // still queued or running coalesces onto it and shares its one pipeline
-// execution. GET /metrics serves the server counters plus the merged
-// observability recorders of every completed job.
+// execution. GET /metrics serves the server counters plus the pipeline
+// observability every executed job recorded into the server's one Observer.
 package service
 
 import (
@@ -32,7 +32,6 @@ import (
 
 	"gatewords"
 	"gatewords/internal/guard"
-	"gatewords/internal/obs"
 	"gatewords/internal/service/journal"
 )
 
@@ -277,15 +276,15 @@ type Counters struct {
 }
 
 // Server is the identification daemon: job store, worker pool, result
-// cache, and merged observability, behind the HTTP handler from Handler.
+// cache, and shared pipeline Observer, behind the HTTP handler from Handler.
 type Server struct {
 	cfg   Config
 	queue chan *Job
 	wg    sync.WaitGroup
 
-	// observer aggregates every completed job's per-run Observer; it has
-	// its own internal lock, so /metrics snapshots it without holding mu
-	// against running jobs.
+	// observer is every job's Options.Observer: each run folds its private
+	// recorder in once, under the Observer's own lock, so /metrics snapshots
+	// it without holding mu against running jobs.
 	observer *gatewords.Observer
 
 	// journal is the durable lifecycle log (nil without Config.JournalPath).
@@ -507,7 +506,6 @@ func (s *Server) SubmitSource(d *gatewords.Design, opts JobOptions, src Source) 
 	if se := s.admitLocked(job, gates); se != nil {
 		s.seq--
 		s.counters.JobsShed++
-		s.observer.AddCounter(obs.CtrJobsShed, 1)
 		return nil, se
 	}
 	// First sighting of this key: a real execution. Admission and the
@@ -550,10 +548,10 @@ func (s *Server) Lookup(id string) (*Job, bool) {
 	return j, ok
 }
 
-// runJob executes one primary job on a worker: per-job deadline, private
-// Observer, one gatewords.Identify, serialized report. Completion moves the
-// job — and every duplicate coalesced onto it — to a terminal state, feeds
-// the cache, and folds the job's observations into the served aggregate.
+// runJob executes one primary job on a worker: per-job deadline, one
+// gatewords.Identify recording into the server's shared Observer, serialized
+// report. Completion moves the job — and every duplicate coalesced onto it —
+// to a terminal state and feeds the cache.
 // runJobGuarded is the worker's per-job recover boundary: a panic escaping
 // runJob — bookkeeping outside executeJob's own pipeline boundary — fails
 // the job and its coalesced waiters instead of killing the worker and
@@ -584,7 +582,6 @@ func (s *Server) failJobAfterPanic(job *Job, f *guard.GroupFailure) {
 	msg := fmt.Sprintf("worker panicked at stage %q: %s", f.Stage, f.Message)
 	if s.breaker.strike(job.Fingerprint, msg) {
 		s.counters.QuarantineTrips++
-		s.observer.AddCounter(obs.CtrQuarantineTrips, 1)
 	}
 	terminalize := func(j *Job) {
 		if j.State == StateDone || j.State == StateFailed {
@@ -620,14 +617,9 @@ func (s *Server) runJob(job *Job) {
 	}()
 	s.journalAppend(job.ID, "running", nil)
 
-	observer := gatewords.NewObserver()
 	start := time.Now()
-	report, interrupted, err := executeJob(job, observer)
+	report, interrupted, err := executeJob(job, s.observer)
 	elapsed := time.Since(start)
-
-	// The per-job recorder merges whether the job succeeded or failed — a
-	// failing job's observability is exactly when /metrics matters.
-	s.observer.Merge(observer)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -645,7 +637,6 @@ func (s *Server) runJob(job *Job) {
 		}
 		if s.breaker.strike(job.Fingerprint, msg) {
 			s.counters.QuarantineTrips++
-			s.observer.AddCounter(obs.CtrQuarantineTrips, 1)
 		}
 	} else {
 		s.breaker.succeed(job.Fingerprint)
@@ -731,7 +722,7 @@ func (s *Server) finishLocked(job *Job, report []byte, interrupted bool, err err
 }
 
 // Metrics returns a consistent snapshot of the server counters and the
-// merged pipeline observability of completed jobs.
+// pipeline observability of every executed job.
 func (s *Server) Metrics() (Counters, *gatewords.Observer) {
 	s.mu.Lock()
 	c := s.counters

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -329,36 +330,95 @@ func TestQueueFullRejected(t *testing.T) {
 }
 
 // TestMetricsMergedAndDeterministic pins the /metrics contract: the
-// pipeline section reflects completed jobs' merged recorders, and repeated
-// reads with no intervening work are byte-identical.
+// pipeline section is the sum of the completed jobs' runs, and repeated
+// reads with no intervening work are byte-identical. Jobs record straight
+// into the server's one shared Observer, so the two-design input releases
+// both jobs onto the two workers at once: every counter must still equal
+// the sum of the same designs' solo runs, with no update lost.
 func TestMetricsMergedAndDeterministic(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	st, _ := postJob(t, ts, SubmitRequest{Bench: "b08a"})
-	awaitJob(t, ts, st.ID)
+	for _, benches := range [][]string{{"b08a"}, {"b08a", "b05a"}} {
+		t.Run(strings.Join(benches, "+"), func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 2})
+			s.testJobGate = make(chan struct{})
+			var ids []string
+			for _, b := range benches {
+				st, code := postJob(t, ts, SubmitRequest{Bench: b})
+				if code != http.StatusAccepted {
+					t.Fatalf("submit %s: status %d", b, code)
+				}
+				ids = append(ids, st.ID)
+			}
+			for range benches {
+				s.testJobGate <- struct{}{}
+			}
+			for _, id := range ids {
+				if st := awaitJob(t, ts, id); st.Status != StateDone {
+					t.Fatalf("job %s ended %q (error %q)", id, st.Status, st.Error)
+				}
+			}
 
-	doc, raw1 := getMetrics(t, ts)
-	_, raw2 := getMetrics(t, ts)
-	if !bytes.Equal(raw1, raw2) {
-		t.Errorf("metrics not byte-stable across reads:\n%s\n%s", raw1, raw2)
+			doc, raw1 := getMetrics(t, ts)
+			_, raw2 := getMetrics(t, ts)
+			if !bytes.Equal(raw1, raw2) {
+				t.Errorf("metrics not byte-stable across reads:\n%s\n%s", raw1, raw2)
+			}
+			got := pipelineCounters(t, doc.Pipeline)
+			// b08a is the control-signal showcase row: a healthy run records
+			// trials and reductions, which prove the job's run reached /metrics.
+			if got["trials"] == 0 || got["reductions"] == 0 {
+				t.Errorf("merged pipeline counters missing work: %v", got)
+			}
+			want := map[string]int64{}
+			for _, b := range benches {
+				d, err := gatewords.GenerateBenchmark(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				solo := gatewords.NewObserver()
+				fo, err := JobOptions{}.facadeOptions(context.Background(), solo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := gatewords.Identify(d, fo); err != nil {
+					t.Fatal(err)
+				}
+				raw, err := solo.MarshalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, v := range pipelineCounters(t, raw) {
+					want[name] += v
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("/metrics has %d pipeline counters, solo runs %d", len(got), len(want))
+			}
+			for name, v := range want {
+				if got[name] != v {
+					t.Errorf("/metrics counter %s = %d, want %d (sum of solo runs)", name, got[name], v)
+				}
+			}
+		})
 	}
-	var pipeline struct {
+}
+
+// pipelineCounters decodes the counter rows of an Observer rendering.
+func pipelineCounters(t *testing.T, raw []byte) map[string]int64 {
+	t.Helper()
+	var doc struct {
 		Counters []struct {
 			Name  string `json:"name"`
 			Value int64  `json:"value"`
 		} `json:"counters"`
 	}
-	if err := json.Unmarshal(doc.Pipeline, &pipeline); err != nil {
+	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("pipeline section did not parse: %v", err)
 	}
-	byName := map[string]int64{}
-	for _, c := range pipeline.Counters {
-		byName[c.Name] = c.Value
+	out := make(map[string]int64, len(doc.Counters))
+	for _, c := range doc.Counters {
+		out[c.Name] = c.Value
 	}
-	// b08a is the control-signal showcase row: a healthy run records trials
-	// and reductions, which prove the per-job recorder reached /metrics.
-	if byName["trials"] == 0 || byName["reductions"] == 0 {
-		t.Errorf("merged pipeline counters missing work: %v", byName)
-	}
+	return out
 }
 
 // TestJobTimeoutInterrupted pins per-job deadlines: an aggressive timeout
